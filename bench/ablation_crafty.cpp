@@ -22,10 +22,6 @@
 #include "harness/Harness.h"
 #include "support/Clock.h"
 
-#include <atomic>
-#include <functional>
-#include <thread>
-
 using namespace crafty;
 
 namespace {
@@ -137,129 +133,6 @@ void ablateWriteCapacity() {
   }
 }
 
-/// One contention-knob cell: two threads over a shared account array,
-/// three transfers to one read-only balance sum (so read-only clock
-/// elision has something to elide), zero persist latency -- the
-/// instruction- and contention-path cost is the subject.
-struct ContentionCell {
-  double UsecPerTxn = 0;
-  uint64_t SnapshotExtensions = 0;
-  uint64_t ConflictAborts = 0;
-  double ClockBumpsPerTxn = 0;
-};
-
-/// The ablation's two transaction bodies, annotated for crafty-lint like
-/// the KV shard's entry points: the transfer writes exactly 2 words, the
-/// balance check none.
-CRAFTY_TX_SAFE CRAFTY_TX_CAPACITY(2) void transferBody(TxnContext &Tx,
-                                                       uint64_t *From,
-                                                       uint64_t *To) {
-  Tx.store(From, Tx.load(From) - 1);
-  Tx.store(To, Tx.load(To) + 1);
-}
-
-CRAFTY_TX_SAFE CRAFTY_TX_CAPACITY(0) void balanceBody(TxnContext &Tx,
-                                                      const uint64_t *Data,
-                                                      unsigned Start,
-                                                      unsigned Accounts) {
-  constexpr unsigned WordsPerLine = CacheLineBytes / 8;
-  uint64_t Sum = 0;
-  for (unsigned K = 0; K != 8; ++K)
-    Sum += Tx.load(&Data[((Start + K) % Accounts) * WordsPerLine]);
-  (void)Sum;
-}
-
-ContentionCell
-timedContention(const std::function<void(CraftyConfig &)> &Tweak) {
-  PMemConfig PC;
-  PC.PoolBytes = 64 << 20;
-  PC.DrainLatencyNs = 0;
-  PC.MaxThreads = 8;
-  PMemPool Pool(PC);
-  HtmRuntime Htm((HtmConfig()));
-  CraftyConfig CC;
-  CC.NumThreads = 2;
-  Tweak(CC);
-  CraftyRuntime Rt(Pool, Htm, CC);
-  constexpr unsigned Accounts = 64;
-  auto *Data = static_cast<uint64_t *>(Rt.carve(Accounts * CacheLineBytes));
-  constexpr unsigned WordsPerLine = CacheLineBytes / 8;
-  constexpr unsigned Ops = 3000;
-  std::atomic<unsigned> Ready{0};
-  std::atomic<bool> Go{false};
-  std::thread Workers[2];
-  for (unsigned T = 0; T != 2; ++T)
-    Workers[T] = std::thread([&, T] {
-      uint64_t Rng = T * 0x9e3779b9u + 1;
-      Ready.fetch_add(1, std::memory_order_release);
-      while (!Go.load(std::memory_order_acquire))
-        std::this_thread::yield();
-      for (unsigned I = 0; I != Ops; ++I) {
-        Rng = Rng * 6364136223846793005ull + 1442695040888963407ull;
-        unsigned A = (Rng >> 33) % Accounts;
-        unsigned B = (Rng >> 44) % Accounts;
-        if (I % 4 == 3) // Read-only balance check.
-          Rt.run(T, [&](TxnContext &Tx) { balanceBody(Tx, Data, A, Accounts); });
-        else // Transfer.
-          Rt.run(T, [&](TxnContext &Tx) {
-            transferBody(Tx, &Data[A * WordsPerLine], &Data[B * WordsPerLine]);
-          });
-      }
-    });
-  while (Ready.load(std::memory_order_acquire) != 2)
-    std::this_thread::yield();
-  uint64_t T0 = monotonicNanos();
-  Go.store(true, std::memory_order_release);
-  for (auto &W : Workers)
-    W.join();
-  uint64_t T1 = monotonicNanos();
-
-  ContentionCell Cell;
-  Cell.UsecPerTxn = (double)(T1 - T0) * 1e-3 / (2.0 * Ops);
-  HtmStats Hw = Rt.htmStats();
-  PtmStats Txn = Rt.txnStats();
-  Cell.SnapshotExtensions = Hw.SnapshotExtensions;
-  Cell.ConflictAborts = Hw.AbortConflict;
-  uint64_t Txns = Txn.transactions();
-  Cell.ClockBumpsPerTxn =
-      Txns ? (double)(Hw.ClockBumps + Htm.nonTxClockBumps()) / (double)Txns
-           : 0.0;
-  return Cell;
-}
-
-void ablateContentionKnobs() {
-  std::printf("\n-- Ablation 5: contention knobs (2 threads, 64 shared "
-              "accounts, 3:1 transfer:read-only mix, 0 ns drain) --\n");
-  std::printf("%-26s %12s %12s %12s %12s\n", "knob position", "usec/txn",
-              "extensions", "conflicts", "bumps/txn");
-  struct Row {
-    const char *Name;
-    std::function<void(CraftyConfig &)> Tweak;
-  };
-  const Row Rows[] = {
-      {"all on (default)", [](CraftyConfig &) {}},
-      {"-ReadOnlyClockElision",
-       [](CraftyConfig &C) { C.ReadOnlyClockElision = false; }},
-      {"-SnapshotExtension",
-       [](CraftyConfig &C) { C.SnapshotExtension = false; }},
-      {"-SortWriteSet", [](CraftyConfig &C) { C.SortWriteSet = false; }},
-      {"dense write set (16)",
-       [](CraftyConfig &C) { C.WriteSetHashThreshold = 16; }},
-      {"no retry backoff",
-       [](CraftyConfig &C) {
-         C.BackoffMinSpins = 1;
-         C.BackoffMaxSpins = 0;
-       }},
-  };
-  for (const Row &R : Rows) {
-    ContentionCell Cell = timedContention(R.Tweak);
-    std::printf("%-26s %12.2f %12llu %12llu %12.3f\n", R.Name,
-                Cell.UsecPerTxn, (unsigned long long)Cell.SnapshotExtensions,
-                (unsigned long long)Cell.ConflictAborts,
-                Cell.ClockBumpsPerTxn);
-  }
-}
-
 } // namespace
 
 int main() {
@@ -268,6 +141,5 @@ int main() {
   ablateLogSize();
   ablateGranularity();
   ablateWriteCapacity();
-  ablateContentionKnobs();
   return 0;
 }

@@ -54,13 +54,6 @@ CraftyRuntime::CraftyRuntime(PMemPool &Pool, HtmRuntime &Htm,
       (Config.LogEntriesPerThread & (Config.LogEntriesPerThread - 1)) != 0)
     fatalError("CraftyRuntime: log size must be a power of two >= 64");
   Htm.setMemoryHooks(Pool.htmHooks());
-  // Forward the contention knobs into the HTM engine before any context
-  // (and thus any transaction) exists.
-  HtmTuning Tuning;
-  Tuning.SnapshotExtension = Config.SnapshotExtension;
-  Tuning.SortWriteSet = Config.SortWriteSet;
-  Tuning.WriteSetHashThreshold = Config.WriteSetHashThreshold;
-  Htm.setTuning(Tuning);
   if (Attach) {
     Header = reinterpret_cast<PoolHeader *>(Pool.base());
     if (Header->Magic != PoolMagic ||
@@ -282,8 +275,7 @@ CraftyThread::CraftyThread(CraftyRuntime &Rt, unsigned ThreadId)
       Tx(Rt.Htm, ThreadId, /*RngSeed=*/ThreadId + 1),
       ForceTx(Rt.Htm, ThreadId, /*RngSeed=*/ThreadId + 1000003),
       Log(logRegionFor(Rt.Pool.base(), *Rt.Header, ThreadId)),
-      RetryBackoff(Rt.Config.BackoffMinSpins, Rt.Config.BackoffMaxSpins,
-                   /*Seed=*/ThreadId + 7) {
+      RetryBackoff(/*Seed=*/ThreadId + 7) {
   Mirror.reserve(1024);
   SectionMirror.reserve(1024);
   ChunkMirror.reserve(Rt.Config.InitialChunkK + 1);
@@ -430,7 +422,7 @@ void CraftyThread::waitSglFree() {
   // letting the holder run.
   unsigned Spins = 0;
   while (HtmRuntime::plainLoad(&Rt.SglWord) != 0) {
-    if (++Spins > Rt.Config.SglWaitSpinBound)
+    if (++Spins > SpinWaitPauseBound)
       std::this_thread::yield();
     else
       cpuPause();
@@ -587,8 +579,6 @@ bool CraftyThread::tryThreadSafe(TxnBody Body) {
       continue;
     }
     if (LO == LogOutcome::ReadOnly) {
-      if (CRAFTY_UNLIKELY(!Rt.Config.ReadOnlyClockElision))
-        Rt.Htm.advanceClock(); // Ablation: the naive bump-per-commit.
       ++Stats.ReadOnly;
       performDeferredFrees();
       return true;
@@ -824,8 +814,7 @@ void CraftyThread::runChunkedSection(TxnBody Body, bool AcquireSgl) {
 }
 
 void CraftyThread::acquireSgl() {
-  ExpBackoff Backoff(Rt.Config.BackoffMinSpins, Rt.Config.BackoffMaxSpins,
-                     /*Seed=*/ThreadId + 0x51);
+  ExpBackoff Backoff(/*Seed=*/ThreadId + 0x51);
   while (!Rt.Htm.nonTxCas(&Rt.SglWord, 0, 1))
     Backoff.backoff();
   if (CRAFTY_UNLIKELY(Race != nullptr))

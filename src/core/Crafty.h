@@ -231,9 +231,8 @@ private:
   /// Scratch for applyMirrorBatch (chunked write-back/rollback).
   std::vector<uint64_t *> BatchAddrScratch;
   std::vector<uint64_t> BatchValScratch;
-  /// Bounded exponential backoff with jitter between aborted attempts
-  /// (CraftyConfig::BackoffMinSpins/BackoffMaxSpins); reset per
-  /// transaction, escalated per abort.
+  /// Bounded exponential backoff with jitter between aborted attempts;
+  /// reset per transaction, escalated per abort.
   ExpBackoff RetryBackoff;
   size_t ValidateCursor = 0;
   std::vector<void *> AllocLog;

@@ -10,6 +10,13 @@
 /// the evaluated variants (Section 7.1), fallback thresholds, and the
 /// Section 5.2 log-maintenance parameters.
 ///
+/// Contention handling is one fixed policy, not a set of options:
+/// read-only commits never bump the global clock, stale reads try
+/// snapshot extension, commits lock stripes in sorted order, the write
+/// set is always hashed, and retries use support/Spin.h's fixed
+/// ExpBackoff and SGL-wait bounds (DESIGN.md 7.3 records the rejected
+/// alternatives and why).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CRAFTY_CORE_CRAFTYCONFIG_H
@@ -67,46 +74,6 @@ struct CraftyConfig {
 
   /// Retries when forcing a delinquent thread's empty commit.
   unsigned ForceRetryLimit = 64;
-
-  //===--------------------------------------------------------------------===//
-  // Contention knobs (multi-thread scaling). The first three forward into
-  // the HtmRuntime's tuning (HtmTuning) at construction; the backoff and
-  // SGL-wait bounds govern the Crafty retry loops directly.
-  //===--------------------------------------------------------------------===//
-
-  /// Read-only transactions commit by sample-and-validate without
-  /// advancing the global version clock. Off (the ablation's naive
-  /// position) bumps the clock once per read-only commit, the behavior of
-  /// a runtime that timestamps every commit -- and the reason read-mostly
-  /// phases invalidate every core's clock line.
-  bool ReadOnlyClockElision = true;
-
-  /// Timestamp extension on reads (HtmTuning::SnapshotExtension): a read
-  /// of a stripe newer than the snapshot revalidates the read set against
-  /// the current clock and continues instead of aborting.
-  bool SnapshotExtension = true;
-
-  /// Commit-time write-stripe locking in sorted address order
-  /// (HtmTuning::SortWriteSet).
-  bool SortWriteSet = true;
-
-  /// Dense-array write-set lookup below this size, hash table above
-  /// (HtmTuning::WriteSetHashThreshold). 0 = always hash -- the default;
-  /// measured faster on this host at every write-set size (the probed
-  /// table lines stay cache-resident; DESIGN.md 7.3).
-  size_t WriteSetHashThreshold = 0;
-
-  /// Abort-retry backoff (support/Spin.h ExpBackoff): first and maximum
-  /// pause window of the bounded exponential backoff with jitter applied
-  /// between aborted attempts; past the cap every retry also yields.
-  /// BackoffMaxSpins = 0 retries with a bare yield (no pausing).
-  unsigned BackoffMinSpins = 32;
-  unsigned BackoffMaxSpins = 4096;
-
-  /// waitSglFree pauses at most this many times before yielding on every
-  /// further iteration, so a descheduled SGL holder cannot livelock
-  /// waiters on a loaded box.
-  unsigned SglWaitSpinBound = 128;
 
   /// Collect per-phase wall-clock times into PtmStats (two clock reads
   /// per phase; off by default to keep the hot path clean).

@@ -178,12 +178,6 @@ HtmTx::HtmTx(HtmRuntime &Runtime, uint32_t ThreadId, uint64_t RngSeed)
   ReadOrder.reserve(C.MaxReadSetLines);
   LockedStripes.reserve(MaxWords);
   PreLockVersions.reserve(MaxWords);
-  // Reserve past the spill threshold so writtenWordTag pointers stay
-  // stable across dense inserts (they are only contractually valid until
-  // the next store, but avoiding reallocation keeps the path cheap).
-  DenseWrites.reserve(
-      std::min(Runtime.tuning().WriteSetHashThreshold, MaxWords) + 1);
-  DenseAddrs.reserve(DenseWrites.capacity());
 }
 
 HtmTx::~HtmTx() = default;
@@ -194,10 +188,6 @@ void HtmTx::begin() {
   Active = true;
   SnapshotVersion = Runtime.Clock.load(std::memory_order_acquire);
   WriteOrder.clear();
-  DenseWrites.clear();
-  DenseAddrs.clear();
-  DenseLimit = Runtime.tuning().WriteSetHashThreshold;
-  DenseMode = DenseLimit > 0;
   WriteFilter = 0;
   StreamWrites.clear();
   LastWrittenLine = ~(uintptr_t)0;
@@ -247,25 +237,6 @@ void HtmTx::abortTx(AbortCode Code, uint32_t UserCode) {
   longjmp(Env, 1);
 }
 
-HtmTx::WriteSlot *HtmTx::spillDenseWrites(uint64_t *Addr, uint64_t Hash) {
-  // The write set outgrew the dense array: migrate it into the hash
-  // table in insertion order (WriteOrder preserves the write-back order)
-  // and continue in hash mode for the rest of the transaction.
-  DenseMode = false;
-  for (const WriteSlot &Dense : DenseWrites) {
-    WriteSlot *Slot =
-        findWriteSlotHash(Dense.Addr, addrHash(Dense.Addr), /*Insert=*/true);
-    Slot->Val = Dense.Val;
-    Slot->OrMask = Dense.OrMask;
-    Slot->UserTag = Dense.UserTag;
-    Slot->Shift = Dense.Shift;
-    Slot->IsCommitVersion = Dense.IsCommitVersion;
-  }
-  DenseWrites.clear();
-  DenseAddrs.clear();
-  return findWriteSlotHash(Addr, Hash, /*Insert=*/true);
-}
-
 bool HtmTx::tryExtendSnapshot() {
   // TinySTM-style timestamp extension: sample the clock first, then
   // verify every read stripe is exactly as first read (same version,
@@ -297,24 +268,17 @@ uint64_t HtmTx::loadStripeSlow(std::atomic<uint64_t> &Stripe) {
     // try to catch the snapshot up instead of aborting. The loop
     // terminates: each pass either returns, aborts, or strictly raises
     // the snapshot.
-    if ((V & 1) || !Runtime.tuning().SnapshotExtension ||
-        !tryExtendSnapshot())
+    if ((V & 1) || !tryExtendSnapshot())
       abortTx(AbortCode::Conflict);
   }
 }
 
 uint64_t HtmTx::preLockVersionOf(std::atomic<uint64_t> *Stripe) {
-  if (Runtime.tuning().SortWriteSet) {
-    auto It = std::lower_bound(LockedStripes.begin(), LockedStripes.end(),
-                               Stripe);
-    assert(It != LockedStripes.end() && *It == Stripe &&
-           "owned tag without a lock record");
-    return PreLockVersions[It - LockedStripes.begin()];
-  }
-  for (size_t I = 0, E = LockedStripes.size(); I != E; ++I)
-    if (LockedStripes[I] == Stripe)
-      return PreLockVersions[I];
-  CRAFTY_UNREACHABLE("owned tag without a lock record");
+  auto It =
+      std::lower_bound(LockedStripes.begin(), LockedStripes.end(), Stripe);
+  assert(It != LockedStripes.end() && *It == Stripe &&
+         "owned tag without a lock record");
+  return PreLockVersions[It - LockedStripes.begin()];
 }
 
 bool HtmTx::validateReadSet(uint64_t OwnedTag) {
@@ -359,13 +323,9 @@ uint64_t HtmTx::commit() {
   // usually land on the same stripe (adjacent words of an undo-log
   // entry, fields of one object), so drop consecutive duplicates before
   // deduplicating fully.
-  const size_t NumBuf = DenseMode ? DenseWrites.size() : WriteOrder.size();
-  auto bufSlot = [&](size_t I) -> WriteSlot & {
-    return DenseMode ? DenseWrites[I] : WriteBuf[WriteOrder[I]];
-  };
   std::atomic<uint64_t> *PrevStripe = nullptr;
-  for (size_t I = 0; I != NumBuf; ++I) {
-    std::atomic<uint64_t> *Stripe = &Runtime.stripeFor(bufSlot(I).Addr);
+  for (uint32_t Idx : WriteOrder) {
+    std::atomic<uint64_t> *Stripe = &Runtime.stripeFor(WriteBuf[Idx].Addr);
     if (Stripe != PrevStripe)
       LockedStripes.push_back(Stripe);
     PrevStripe = Stripe;
@@ -376,28 +336,11 @@ uint64_t HtmTx::commit() {
       LockedStripes.push_back(Stripe);
     PrevStripe = Stripe;
   }
-  if (CRAFTY_LIKELY(Runtime.tuning().SortWriteSet)) {
-    // Address order: deadlock-free between committers (STO_SORT_WRITESET).
-    std::sort(LockedStripes.begin(), LockedStripes.end());
-    LockedStripes.erase(
-        std::unique(LockedStripes.begin(), LockedStripes.end()),
-        LockedStripes.end());
-  } else {
-    // Insertion order (the ablation's off position): a lock-order cycle
-    // between committers is broken by the bounded commit spin aborting.
-    size_t Out = 0;
-    for (size_t I = 0, E = LockedStripes.size(); I != E; ++I) {
-      bool Dup = false;
-      for (size_t J = 0; J != Out; ++J)
-        if (LockedStripes[J] == LockedStripes[I]) {
-          Dup = true;
-          break;
-        }
-      if (!Dup)
-        LockedStripes[Out++] = LockedStripes[I];
-    }
-    LockedStripes.resize(Out);
-  }
+  // Address order: deadlock-free between committers (STO_SORT_WRITESET),
+  // and the sorted array doubles as preLockVersionOf's search index.
+  std::sort(LockedStripes.begin(), LockedStripes.end());
+  LockedStripes.erase(std::unique(LockedStripes.begin(), LockedStripes.end()),
+                      LockedStripes.end());
 
   uint64_t OwnedTag = reinterpret_cast<uintptr_t>(this) | 1;
   size_t NumLocked = 0;
@@ -438,8 +381,8 @@ uint64_t HtmTx::commit() {
   if (Hooks.OnCommitFence)
     Hooks.OnCommitFence(Hooks.Ctx, ThreadId);
 
-  for (size_t I = 0; I != NumBuf; ++I) {
-    WriteSlot &Slot = bufSlot(I);
+  for (uint32_t Idx : WriteOrder) {
+    WriteSlot &Slot = WriteBuf[Idx];
     uint64_t Val = Slot.IsCommitVersion
                        ? (CommitVersion << Slot.Shift) | Slot.OrMask
                        : Slot.Val;

@@ -99,33 +99,6 @@ struct HtmConfig {
   unsigned CommitLockSpinLimit = 64;
 };
 
-/// Contention-tuning knobs, mutable after construction (install before
-/// transactions run; CraftyRuntime forwards the matching CraftyConfig
-/// fields here). Split from HtmConfig so a backend can tune a shared
-/// HtmRuntime without re-deriving the lock-table geometry.
-struct HtmTuning {
-  /// On a read of a stripe newer than the snapshot, try to extend the
-  /// snapshot to the current clock by revalidating the read set (TinySTM
-  /// timestamp extension) instead of aborting. Turns the common
-  /// stale-snapshot abort -- every transaction that resumes after another
-  /// thread's commit, i.e. nearly every transaction on an oversubscribed
-  /// host -- into an O(reads) revalidation.
-  bool SnapshotExtension = true;
-  /// Lock commit stripes in sorted address order (deadlock-free ordering;
-  /// STO_SORT_WRITESET). When off, stripes are locked in insertion order
-  /// and the bounded commit spin breaks deadlocks by aborting.
-  bool SortWriteSet = true;
-  /// Buffered writes up to this count are kept in a dense array with
-  /// linear read-your-write lookup; past the threshold the write set
-  /// spills into the hash table. 0 disables the dense path entirely --
-  /// and is the default: on the emulated HTM the open-addressed table's
-  /// probed lines stay cache-resident across transactions, so the O(1)
-  /// probe beats the linear scan at every write-set size measured
-  /// (2..40 writes; see DESIGN.md 7.3). The dense mode is kept as an
-  /// ablation position and for hosts where the table is genuinely cold.
-  size_t WriteSetHashThreshold = 0;
-};
-
 /// Per-transaction-context statistics (cumulative across transactions).
 struct HtmStats {
   uint64_t Commits = 0;
@@ -142,9 +115,8 @@ struct HtmStats {
   /// static tx-capacity bound (both count 8-byte words).
   uint64_t WriteWordsTotal = 0;
   uint64_t MaxWriteWordsPerTxn = 0;
-  /// Successful snapshot extensions (HtmTuning::SnapshotExtension): reads
-  /// that would have been stale-snapshot Conflict aborts but revalidated
-  /// and continued.
+  /// Successful snapshot extensions: reads that would have been
+  /// stale-snapshot Conflict aborts but revalidated and continued.
   uint64_t SnapshotExtensions = 0;
   /// Global-version-clock advances performed by this context's commits.
   /// Read-only commits never bump (sample-and-validate); together with
@@ -239,11 +211,6 @@ public:
   HtmRuntime &operator=(const HtmRuntime &) = delete;
 
   const HtmConfig &config() const { return Config; }
-
-  /// Installs contention-tuning knobs. Not thread-safe: install before
-  /// transactions run (transactions read the knobs per access/commit).
-  void setTuning(const HtmTuning &T) { Tuning = T; }
-  const HtmTuning &tuning() const { return Tuning; }
 
   /// Installs the persistent-memory observation hooks. Must be called
   /// before any transaction runs.
@@ -354,7 +321,6 @@ private:
   }
 
   HtmConfig Config;
-  HtmTuning Tuning;
   MemoryHooks Hooks;
   AccessHooks AHooks;
   size_t TableMask;
@@ -479,8 +445,7 @@ public:
 
   /// Number of distinct words written by the current transaction.
   size_t writeSetWords() const {
-    return (DenseMode ? DenseWrites.size() : WriteOrder.size()) +
-           StreamWrites.size();
+    return WriteOrder.size() + StreamWrites.size();
   }
 
 private:
@@ -514,15 +479,11 @@ private:
   [[noreturn]] void abortTx(AbortCode Code, uint32_t UserCode = 0);
   void maybeInjectSpuriousAbort();
   WriteSlot *findWriteSlot(uint64_t *Addr, uint64_t Hash, bool Insert);
-  WriteSlot *findWriteSlotHash(uint64_t *Addr, uint64_t Hash, bool Insert);
-  /// Cold: migrates the dense write set into the hash table (the write
-  /// set crossed HtmTuning::WriteSetHashThreshold) and inserts \p Addr.
-  WriteSlot *spillDenseWrites(uint64_t *Addr, uint64_t Hash);
   void noteWrittenLine(const void *Addr);
   void recordRead(std::atomic<uint64_t> *Stripe, uint64_t Version);
   bool validateReadSet(uint64_t OwnedTag);
-  /// Pre-lock version of a stripe this commit owns (sorted or linear
-  /// lookup depending on HtmTuning::SortWriteSet).
+  /// Pre-lock version of a stripe this commit owns (binary search of the
+  /// sorted LockedStripes).
   uint64_t preLockVersionOf(std::atomic<uint64_t> *Stripe);
   /// Cold path of load(): the stripe is locked or newer than the
   /// snapshot. Attempts timestamp extension; returns a consistent stripe
@@ -548,19 +509,6 @@ private:
   std::vector<WriteSlot> WriteBuf;
   std::vector<uint32_t> WriteOrder;
   size_t WriteBufMask;
-  // Dense small-write-set mode (HtmTuning::WriteSetHashThreshold, off by
-  // default -- see the threshold's comment): the first DenseLimit
-  // distinct writes live here in insertion order and are found by linear
-  // scan instead of a probe into the capacity-sized WriteBuf. Crossing
-  // the limit spills into WriteBuf/WriteOrder (DenseMode flips off) for
-  // the rest of the transaction.
-  std::vector<WriteSlot> DenseWrites;
-  // Parallel address array for the dense scan: 8 bytes per entry keeps
-  // the whole threshold's worth of keys in one or two cache lines, where
-  // scanning the 48-byte slots directly would touch one line per entry.
-  std::vector<uint64_t *> DenseAddrs;
-  size_t DenseLimit = 0;
-  bool DenseMode = false;
   // 64-bit summary of buffered-write addresses (bit filterBit(addrHash)).
   // Zero means no buffered writes; a clear bit proves the address was not
   // written by store/storeCommitVersion, so load skips the write-buffer
@@ -606,8 +554,8 @@ inline void HtmTx::maybeInjectSpuriousAbort() {
     abortTx(AbortCode::Zero);
 }
 
-inline HtmTx::WriteSlot *HtmTx::findWriteSlotHash(uint64_t *Addr,
-                                                  uint64_t Hash, bool Insert) {
+inline HtmTx::WriteSlot *HtmTx::findWriteSlot(uint64_t *Addr, uint64_t Hash,
+                                              bool Insert) {
   size_t Idx = (Hash >> 32) & WriteBufMask;
   for (;;) {
     WriteSlot &Slot = WriteBuf[Idx];
@@ -632,30 +580,6 @@ inline HtmTx::WriteSlot *HtmTx::findWriteSlotHash(uint64_t *Addr,
     WriteOrder.push_back((uint32_t)Idx);
     return &Slot;
   }
-}
-
-inline HtmTx::WriteSlot *HtmTx::findWriteSlot(uint64_t *Addr, uint64_t Hash,
-                                              bool Insert) {
-  if (CRAFTY_UNLIKELY(DenseMode)) {
-    for (size_t I = 0, N = DenseAddrs.size(); I != N; ++I)
-      if (DenseAddrs[I] == Addr)
-        return &DenseWrites[I];
-    if (!Insert)
-      return nullptr;
-    if (CRAFTY_UNLIKELY(DenseAddrs.size() >= DenseLimit))
-      return spillDenseWrites(Addr, Hash);
-    if (writeSetWords() >=
-        Runtime.config().MaxWriteSetLines * (CacheLineBytes / 8))
-      abortTx(AbortCode::Capacity);
-    DenseAddrs.push_back(Addr);
-    DenseWrites.emplace_back();
-    WriteSlot &Slot = DenseWrites.back();
-    Slot.Addr = Addr;
-    Slot.Epoch = Epoch;
-    Slot.UserTag = ~0u;
-    return &Slot;
-  }
-  return findWriteSlotHash(Addr, Hash, Insert);
 }
 
 inline void HtmTx::noteWrittenLine(const void *Addr) {

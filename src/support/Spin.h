@@ -48,23 +48,28 @@ private:
   uint32_t Count = 0;
 };
 
+/// Pauses a capped spin-wait takes before yielding on every further
+/// iteration (the SGL wait): long enough to ride out a short critical
+/// section, short enough that a descheduled holder cannot livelock its
+/// waiters on a loaded box.
+inline constexpr uint32_t SpinWaitPauseBound = 128;
+
 /// Bounded exponential backoff with jitter for abort-retry loops (the
 /// STO_SPIN_EXPBACKOFF discipline): each call pauses for a jittered window
-/// that doubles up to a cap, and once the window is capped every further
-/// call also yields to the scheduler. The jitter desynchronizes threads
-/// that aborted on the same conflict; the yield keeps an oversubscribed
-/// host from burning a waiter's whole quantum while the conflicting
-/// committer is descheduled (the dominant multi-thread failure mode on a
-/// host with fewer cores than threads).
+/// that doubles from MinSpins up to MaxSpins, and once the window is
+/// capped every further call also yields to the scheduler. The jitter
+/// desynchronizes threads that aborted on the same conflict; the yield
+/// keeps an oversubscribed host from burning a waiter's whole quantum
+/// while the conflicting committer is descheduled (the dominant
+/// multi-thread failure mode on a host with fewer cores than threads).
 class ExpBackoff {
 public:
-  /// \p MinSpins is the first window, \p MaxSpins the cap; \p Seed
-  /// decorrelates the jitter streams of different threads. MaxSpins == 0
-  /// degenerates to yield-per-call (no pausing).
-  ExpBackoff(uint32_t MinSpins, uint32_t MaxSpins, uint64_t Seed)
-      : MinSpins(MinSpins ? MinSpins : 1), MaxSpins(MaxSpins),
-        Window(this->MinSpins),
-        RngState(Seed * 0x9e3779b97f4a7c15ull + 0x632be59bd9b4e019ull) {}
+  static constexpr uint32_t MinSpins = 32;
+  static constexpr uint32_t MaxSpins = 4096;
+
+  /// \p Seed decorrelates the jitter streams of different threads.
+  explicit ExpBackoff(uint64_t Seed)
+      : RngState(Seed * 0x9e3779b97f4a7c15ull + 0x632be59bd9b4e019ull) {}
 
   /// Escalating wait: call once after each failed attempt.
   void backoff() {
@@ -76,10 +81,7 @@ public:
     uint32_t Spins = Window / 2 + (uint32_t)(nextRand() % (Window / 2 + 1));
     for (uint32_t I = 0; I != Spins; ++I)
       cpuPause();
-    if (Window == MaxSpins)
-      Window = MaxSpins + 1; // Saturated: yield from now on.
-    else
-      Window = Window * 2 < MaxSpins ? Window * 2 : MaxSpins;
+    Window *= 2; // Past MaxSpins: saturated, yield from now on.
   }
 
   void reset() { Window = MinSpins; }
@@ -93,9 +95,7 @@ private:
     return RngState * 0x2545f4914f6cdd1dull;
   }
 
-  uint32_t MinSpins;
-  uint32_t MaxSpins;
-  uint32_t Window;
+  uint32_t Window = MinSpins;
   uint64_t RngState;
 };
 

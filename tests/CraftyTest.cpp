@@ -108,21 +108,6 @@ TEST(Crafty, ReadOnlyCommitDoesNotAdvanceClock) {
   EXPECT_EQ(S.Rt.txnStats().ReadOnly, 50u);
 }
 
-TEST(Crafty, ReadOnlyClockElisionOffBumpsPerCommit) {
-  // The ablation position: with elision off every read-only commit
-  // advances the clock once (the naive timestamp-every-commit design).
-  CraftyConfig C = config();
-  C.ReadOnlyClockElision = false;
-  TestSystem S(C);
-  auto *Data = static_cast<uint64_t *>(S.Rt.carve(64));
-  Data[0] = 7;
-  S.Pool.persistDirect(&Data[0], &Data[0], 8);
-  uint64_t ClockBefore = S.Htm.globalClock();
-  for (int I = 0; I != 10; ++I)
-    S.Rt.run(0, [&](TxnContext &Tx) { (void)Tx.load(&Data[0]); });
-  EXPECT_EQ(S.Htm.globalClock(), ClockBefore + 10);
-}
-
 TEST(Crafty, RepeatedWritesToSameWord) {
   TestSystem S(config());
   auto *Data = static_cast<uint64_t *>(S.Rt.carve(64));
@@ -197,10 +182,10 @@ TEST(Crafty, MultithreadedBankConservesTotal) {
 }
 
 TEST(Crafty, EightThreadMixedStressUnderBothCheckers) {
-  // The contention machinery (backoff, snapshot extension, dense write
-  // set, clock elision) under full dynamic checking: 8 threads, 3:1
-  // write:read mix over shared accounts, both PersistCheck and
-  // TxRaceCheck attached, zero violations required.
+  // The contention machinery (backoff, snapshot extension, sorted
+  // commit locking, clock elision) under full dynamic checking: 8
+  // threads, 3:1 write:read mix over shared accounts, both PersistCheck
+  // and TxRaceCheck attached, zero violations required.
   constexpr unsigned NumThreads = 8;
   constexpr unsigned NumAccounts = 32;
   constexpr int OpsPerThread = 250;
@@ -250,57 +235,6 @@ TEST(Crafty, EightThreadMixedStressUnderBothCheckers) {
   EXPECT_EQ(S.Rt.raceCheck()->violationCount(), 0u)
       << S.Rt.raceCheck()->formatReports();
   // PersistCheck violations are asserted in ~TestSystem.
-}
-
-TEST(Crafty, ContentionKnobsOffStillCorrect) {
-  // All contention knobs at their non-default positions must change only
-  // performance, never results: 4 threads of transfers with elision,
-  // extension and sorting disabled, the dense write set on (spilling
-  // every transaction), and backoff degraded to bare yields.
-  constexpr unsigned NumThreads = 4;
-  constexpr unsigned NumAccounts = 16;
-  constexpr int OpsPerThread = 400;
-  CraftyConfig C = config(NumThreads);
-  C.ReadOnlyClockElision = false;
-  C.SnapshotExtension = false;
-  C.SortWriteSet = false;
-  C.WriteSetHashThreshold = 2;
-  C.BackoffMinSpins = 1;
-  C.BackoffMaxSpins = 0;
-  C.SglWaitSpinBound = 0;
-  C.EnableTxRaceCheck = true;
-  TestSystem S(C);
-  auto *Accounts =
-      static_cast<uint64_t *>(S.Rt.carve(NumAccounts * CacheLineBytes));
-  for (unsigned I = 0; I != NumAccounts; ++I)
-    Accounts[I * 8] = 500;
-  S.Pool.persistDirect(Accounts, Accounts, NumAccounts * CacheLineBytes);
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T != NumThreads; ++T) {
-    Threads.emplace_back([&, T] {
-      Rng R(T + 29);
-      for (int I = 0; I != OpsPerThread; ++I) {
-        unsigned From = R.nextBounded(NumAccounts);
-        unsigned To =
-            (From + 1 + R.nextBounded(NumAccounts - 1)) % NumAccounts;
-        S.Rt.run(T, [&](TxnContext &Tx) {
-          uint64_t F = Tx.load(&Accounts[From * 8]);
-          uint64_t G = Tx.load(&Accounts[To * 8]);
-          Tx.store(&Accounts[From * 8], F - 1);
-          Tx.store(&Accounts[To * 8], G + 1);
-        });
-      }
-    });
-  }
-  for (auto &Th : Threads)
-    Th.join();
-  uint64_t Total = 0;
-  for (unsigned I = 0; I != NumAccounts; ++I)
-    Total += Accounts[I * 8];
-  EXPECT_EQ(Total, 500u * NumAccounts);
-  ASSERT_NE(S.Rt.raceCheck(), nullptr);
-  EXPECT_EQ(S.Rt.raceCheck()->violationCount(), 0u)
-      << S.Rt.raceCheck()->formatReports();
 }
 
 TEST(Crafty, NoValidateVariantUnderContention) {

@@ -46,20 +46,15 @@ struct CrashParams {
   /// any flush the coalescing filter wrongly suppressed after a re-dirty
   /// becomes lost data here, so recovery would fail loudly.
   bool EagerWriteback = false;
-  /// Flip every contention knob to its non-default position (no clock
-  /// elision, no snapshot extension, unsorted write set, dense write-set
-  /// mode, bare yield backoff): the knobs may change only performance,
-  /// so crash consistency must hold at both extremes of the sweep.
-  bool NaiveContentionKnobs = false;
 };
 
 const CrashParams ParamTable[] = {
     {"single_thread", 1, 1 << 10, 0, 30000, false, false},
     {"two_threads", 2, 1 << 10, 0, 30000, false, false},
     {"four_threads", 4, 1 << 10, 0, 30000, false, false},
-    // 8 threads on the default knobs: snapshot extension, dense write
-    // sets and abort backoff all fire under real contention, feeding the
-    // crash/recovery sweep through the contention-optimized commit paths.
+    // 8 threads: snapshot extension and abort backoff fire under real
+    // contention, feeding the crash/recovery sweep through the
+    // contention-optimized commit paths.
     {"eight_threads", 8, 1 << 10, 0, 30000, false, false},
     {"tiny_log_wraparound", 2, 128, 0, 30000, false, false},
     {"tight_maxlag", 3, 1 << 10, 32, 30000, false, false},
@@ -69,8 +64,6 @@ const CrashParams ParamTable[] = {
     {"no_eviction", 3, 1 << 10, 0, 0, false, false},
     {"eager_writeback", 3, 1 << 10, 0, 30000, false, false, true},
     {"eager_writeback_tiny_log", 2, 128, 0, 30000, false, false, true},
-    {"naive_contention_knobs", 4, 1 << 10, 0, 30000, false, false, false,
-     true},
 };
 
 class CrashProperty
@@ -96,15 +89,6 @@ TEST_P(CrashProperty, RecoveredStateIsConsistent) {
     CC.MaxLag = P.MaxLag;
   CC.DisableRedo = P.DisableRedo;
   CC.DisableValidate = P.DisableValidate;
-  if (P.NaiveContentionKnobs) {
-    CC.ReadOnlyClockElision = false;
-    CC.SnapshotExtension = false;
-    CC.SortWriteSet = false;
-    CC.WriteSetHashThreshold = 2; // Dense mode, spilling every txn.
-    CC.BackoffMinSpins = 1;
-    CC.BackoffMaxSpins = 0;
-    CC.SglWaitSpinBound = 0;
-  }
   CraftyRuntime Rt(Pool, Htm, CC);
 
   constexpr unsigned NumAccounts = 24;

@@ -108,28 +108,8 @@ TEST_F(HtmTest, ConflictingCommitAbortsReader) {
   EXPECT_EQ(Out, 0u);
 }
 
-TEST_F(HtmTest, StaleReadAbortsImmediatelyWithoutExtension) {
-  makeRuntime();
-  HtmTuning Tuning;
-  Tuning.SnapshotExtension = false;
-  Rt->setTuning(Tuning);
-  HtmTx TxA(*Rt, 0), TxB(*Rt, 1);
-  alignas(64) uint64_t X = 0;
-  TxResult RA = runHtmTx(TxA, [&](HtmTx &T) {
-    // Start the snapshot: a harmless read.
-    alignas(64) static uint64_t Dummy = 0;
-    T.load(&Dummy);
-    TxResult RB = runHtmTx(TxB, [&](HtmTx &T2) { T2.store(&X, 1); });
-    ASSERT_TRUE(RB.Committed);
-    T.load(&X); // Newer than our snapshot: abort here.
-    FAIL() << "load of a stale line must abort";
-  });
-  EXPECT_FALSE(RA.Committed);
-  EXPECT_EQ(RA.Code, AbortCode::Conflict);
-}
-
 TEST_F(HtmTest, StaleReadRecoveredBySnapshotExtension) {
-  // Same interleaving as above, but with snapshot extension (the default):
+  // A reads a harmless word, then B commits a write to X, then A loads X:
   // the prior read set (Dummy) is still valid at the current clock, so the
   // snapshot advances past B's commit and the load returns B's value.
   makeRuntime();
@@ -148,7 +128,7 @@ TEST_F(HtmTest, StaleReadRecoveredBySnapshotExtension) {
 
 TEST_F(HtmTest, SnapshotExtensionFailsWhenReadSetChanged) {
   // If a word already read changes, extension must not succeed: the stale
-  // read aborts exactly as without extension.
+  // read aborts.
   makeRuntime();
   HtmTx TxA(*Rt, 0), TxB(*Rt, 1);
   alignas(64) uint64_t X = 0, Y = 0;
@@ -166,22 +146,19 @@ TEST_F(HtmTest, SnapshotExtensionFailsWhenReadSetChanged) {
   EXPECT_EQ(RA.Code, AbortCode::Conflict);
 }
 
-TEST_F(HtmTest, DenseWriteSetSpillsToHashCorrectly) {
-  // Cross the dense->hash threshold mid-transaction: reads-own-writes and
-  // the committed values must be identical on both sides of the spill.
+TEST_F(HtmTest, WriteBufferReadsOwnWritesAfterOverwrite) {
+  // Read-your-write through the hashed write buffer, including an
+  // overwrite of the first slot after the later ones were inserted.
   makeRuntime();
-  HtmTuning Tuning;
-  Tuning.WriteSetHashThreshold = 4;
-  Rt->setTuning(Tuning);
   HtmTx Tx(*Rt, 0);
-  constexpr size_t N = 16; // 4x the threshold.
+  constexpr size_t N = 16;
   alignas(64) uint64_t Words[N] = {};
   TxResult R = runHtmTx(Tx, [&](HtmTx &T) {
     for (size_t I = 0; I != N; ++I)
       T.store(&Words[I], I + 1);
     for (size_t I = 0; I != N; ++I)
-      EXPECT_EQ(T.load(&Words[I]), I + 1); // Read-own-write after spill.
-    T.store(&Words[0], 100); // Update a pre-spill slot post-spill.
+      EXPECT_EQ(T.load(&Words[I]), I + 1);
+    T.store(&Words[0], 100);
     EXPECT_EQ(T.load(&Words[0]), 100u);
   });
   ASSERT_TRUE(R.Committed);
@@ -190,42 +167,29 @@ TEST_F(HtmTest, DenseWriteSetSpillsToHashCorrectly) {
     EXPECT_EQ(Words[I], I + 1);
 }
 
-TEST_F(HtmTest, AlwaysHashWriteSetCommits) {
-  // Threshold 0 = dense mode disabled entirely.
+TEST_F(HtmTest, DescendingReadThenWriteCommitValidatesOwnedStripes) {
+  // One word per cache line, so the commit locks 24 stripes; inserted in
+  // descending address order, each read-then-written. An unrelated commit
+  // advances the clock so validation runs, and it must find every
+  // self-owned stripe's pre-lock version in the sorted lock array.
   makeRuntime();
-  HtmTuning Tuning;
-  Tuning.WriteSetHashThreshold = 0;
-  Rt->setTuning(Tuning);
-  HtmTx Tx(*Rt, 0);
-  alignas(64) uint64_t X = 1, Y = 2;
-  TxResult R = runHtmTx(Tx, [&](HtmTx &T) {
-    T.store(&X, 10);
-    T.store(&Y, T.load(&X) + 10);
-  });
-  ASSERT_TRUE(R.Committed);
-  EXPECT_EQ(X, 10u);
-  EXPECT_EQ(Y, 20u);
-}
-
-TEST_F(HtmTest, UnsortedWriteSetCommitsAndValidates) {
-  // SortWriteSet off: commit locks stripes in insertion order and
-  // validation must still recognize self-owned stripes.
-  makeRuntime();
-  HtmTuning Tuning;
-  Tuning.SortWriteSet = false;
-  Rt->setTuning(Tuning);
-  HtmTx Tx(*Rt, 0);
+  HtmTx Tx(*Rt, 0), Other(*Rt, 1);
   constexpr size_t N = 24;
-  alignas(64) uint64_t Words[N] = {};
+  constexpr size_t Stride = CacheLineBytes / 8;
+  alignas(64) uint64_t Words[N * Stride] = {};
+  alignas(64) uint64_t Unrelated = 0;
   TxResult R = runHtmTx(Tx, [&](HtmTx &T) {
-    for (size_t I = N; I-- > 0;) { // Descending insertion order.
-      T.load(&Words[I]);           // Read-then-write: validation must see
-      T.store(&Words[I], I + 1);   // the stripe as self-owned at commit.
+    for (size_t I = N; I-- > 0;) {
+      T.load(&Words[I * Stride]);
+      T.store(&Words[I * Stride], I + 1);
     }
+    TxResult RO = runHtmTx(Other, [&](HtmTx &T2) { T2.store(&Unrelated, 1); });
+    ASSERT_TRUE(RO.Committed);
   });
   ASSERT_TRUE(R.Committed);
+  EXPECT_EQ(Tx.stats().ValidatedReadSlots, N);
   for (size_t I = 0; I != N; ++I)
-    EXPECT_EQ(Words[I], I + 1);
+    EXPECT_EQ(Words[I * Stride], I + 1);
 }
 
 TEST_F(HtmTest, NonTxStoreBatchPublishesAllWordsOneBump) {

@@ -14,6 +14,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "check/PersistCheck.h"
+#include "check/TxRaceCheck.h"
+#include "core/Crafty.h"
 #include "kv/KvClient.h"
 #include "kv/KvServer.h"
 #include "kv/KvShard.h"
@@ -915,7 +918,21 @@ TEST(KvServerConcurrent, FourShardMixedLoadWithCheckers) {
   EXPECT_EQ(Failures.load(), 0u);
   EXPECT_GT(Server.requestsServed(), NumConns * OpsPerConn / 2);
   Server.stop();
-  EXPECT_EQ(Store.checkerViolations(), 0u);
+  // On failure, name every violation (kind, address, thread, phase) per
+  // shard rather than only the total.
+  std::string Details;
+  for (unsigned I = 0; I != Store.numShards(); ++I) {
+    CraftyRuntime *Rt = Store.shard(I).crafty();
+    if (!Rt)
+      continue;
+    if (PersistCheck *PC = Rt->persistCheck(); PC && PC->violationCount())
+      Details += "shard " + std::to_string(I) + " PersistCheck:\n" +
+                 PC->formatViolations();
+    if (TxRaceCheck *RC = Rt->raceCheck(); RC && RC->violationCount())
+      Details += "shard " + std::to_string(I) + " TxRaceCheck:\n" +
+                 RC->formatReports();
+  }
+  EXPECT_EQ(Store.checkerViolations(), 0u) << Details;
 }
 
 /// Cross-shard scatter-gather correctness, including the per-connection
