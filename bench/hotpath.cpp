@@ -51,14 +51,13 @@
 #include "baselines/Factory.h"
 #include "core/Crafty.h"
 #include "support/Clock.h"
+#include "support/Json.h"
 #include "support/Rng.h"
 
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -230,32 +229,29 @@ CellResult runCell(const Shape &S, const Cell &C, uint64_t Ops) {
 
 std::string formatPoint(const std::string &Label, double Scale,
                         const std::vector<CellResult> &Results) {
-  std::ostringstream Out;
-  char Buf[256];
-  Out << "    {\n      \"label\": \"" << Label << "\",\n";
-  std::snprintf(Buf, sizeof(Buf), "      \"ops_scale\": %g,\n", Scale);
-  Out << Buf;
-  Out << "      \"results\": [\n";
-  for (size_t I = 0; I != Results.size(); ++I) {
-    const CellResult &R = Results[I];
-    std::snprintf(Buf, sizeof(Buf),
-                  "        {\"shape\": \"%s\", \"system\": \"%s\", "
-                  "\"threads\": %u, \"checkers\": %s, \"ops\": %llu, "
-                  "\"ns_per_op\": %.1f, \"ops_per_sec\": %.0f, "
-                  "\"clwb_calls\": %llu, \"lines_scheduled\": %llu, "
-                  "\"drains\": %llu, \"empty_drains\": %llu}%s\n",
-                  R.ShapeName, R.SystemName, R.Threads,
-                  R.Checkers ? "true" : "false",
-                  (unsigned long long)R.Ops, R.NsPerOp, R.OpsPerSec,
-                  (unsigned long long)R.Flush.ClwbCalls,
-                  (unsigned long long)R.Flush.LinesScheduled,
-                  (unsigned long long)R.Flush.Drains,
-                  (unsigned long long)R.Flush.EmptyDrains,
-                  I + 1 == Results.size() ? "" : ",");
-    Out << Buf;
-  }
-  Out << "      ]\n    }";
-  return Out.str();
+  std::string Out;
+  JsonWriter W(Out, JsonWriter::Pretty, TrajectoryPointDepth);
+  W.beginObject()
+      .field("label", Label)
+      .field("ops_scale", Scale)
+      .key("results")
+      .beginArray();
+  for (const CellResult &R : Results)
+    W.beginObject(/*Inline=*/true)
+        .field("shape", R.ShapeName)
+        .field("system", R.SystemName)
+        .field("threads", R.Threads)
+        .field("checkers", R.Checkers)
+        .field("ops", R.Ops)
+        .field("ns_per_op", R.NsPerOp, 1)
+        .field("ops_per_sec", R.OpsPerSec, 0)
+        .field("clwb_calls", R.Flush.ClwbCalls)
+        .field("lines_scheduled", R.Flush.LinesScheduled)
+        .field("drains", R.Flush.Drains)
+        .field("empty_drains", R.Flush.EmptyDrains)
+        .endObject();
+  W.endArray().endObject();
+  return Out;
 }
 
 /// Standalone flush- and contention-counter report (--stats-out): the
@@ -264,34 +260,20 @@ std::string formatPoint(const std::string &Label, double Scale,
 /// CI artifact alongside the trajectory point.
 std::string formatStats(const std::string &Label, double Scale,
                         const std::vector<CellResult> &Results) {
-  std::ostringstream Out;
-  char Buf[384];
-  Out << "{\n  \"schema\": \"crafty-flush-stats-v1\",\n  \"label\": \""
-      << Label << "\",\n";
-  std::snprintf(Buf, sizeof(Buf), "  \"ops_scale\": %g,\n", Scale);
-  Out << Buf << "  \"results\": [\n";
-  for (size_t I = 0; I != Results.size(); ++I) {
-    const CellResult &R = Results[I];
+  std::string Out;
+  JsonWriter W(Out);
+  W.beginObject()
+      .field("schema", "crafty-flush-stats-v1")
+      .field("label", Label)
+      .field("ops_scale", Scale)
+      .key("results")
+      .beginArray();
+  for (const CellResult &R : Results) {
     double Ops = R.Ops ? (double)R.Ops : 1.0;
     double Coalesced =
         R.Flush.ClwbCalls
             ? 1.0 - (double)R.Flush.LinesScheduled / (double)R.Flush.ClwbCalls
             : 0.0;
-    std::snprintf(
-        Buf, sizeof(Buf),
-        "    {\"shape\": \"%s\", \"system\": \"%s\", \"threads\": %u, "
-        "\"checkers\": %s, \"clwb_calls\": %llu, \"lines_scheduled\": "
-        "%llu, \"drains\": %llu, \"empty_drains\": %llu, "
-        "\"clwb_calls_per_op\": %.2f, \"lines_scheduled_per_op\": %.2f, "
-        "\"coalesced_fraction\": %.3f,\n",
-        R.ShapeName, R.SystemName, R.Threads, R.Checkers ? "true" : "false",
-        (unsigned long long)R.Flush.ClwbCalls,
-        (unsigned long long)R.Flush.LinesScheduled,
-        (unsigned long long)R.Flush.Drains,
-        (unsigned long long)R.Flush.EmptyDrains,
-        (double)R.Flush.ClwbCalls / Ops, (double)R.Flush.LinesScheduled / Ops,
-        Coalesced);
-    Out << Buf;
     // Contention columns: abort taxonomy, fallback serialization and
     // clock pressure. Clock bumps count both in-transaction commit bumps
     // and the non-transactional ones (chunked batches, SGL release);
@@ -300,26 +282,34 @@ std::string formatStats(const std::string &Label, double Scale,
     double BumpsPerCommit =
         Txns ? (double)(R.Htm.ClockBumps + R.NonTxClockBumps) / (double)Txns
              : 0.0;
-    std::snprintf(
-        Buf, sizeof(Buf),
-        "     \"aborts_conflict\": %llu, \"aborts_capacity\": %llu, "
-        "\"aborts_explicit\": %llu, \"aborts_zero\": %llu, "
-        "\"sgl_commits\": %llu, \"sgl_waits\": %llu, "
-        "\"snapshot_extensions\": %llu, \"clock_bumps\": %llu, "
-        "\"nontx_clock_bumps\": %llu, \"clock_bumps_per_commit\": %.3f}%s\n",
-        (unsigned long long)R.Htm.AbortConflict,
-        (unsigned long long)R.Htm.AbortCapacity,
-        (unsigned long long)R.Htm.AbortExplicit,
-        (unsigned long long)R.Htm.AbortZero,
-        (unsigned long long)R.Txn.Sgl, (unsigned long long)R.Txn.SglWaits,
-        (unsigned long long)R.Htm.SnapshotExtensions,
-        (unsigned long long)R.Htm.ClockBumps,
-        (unsigned long long)R.NonTxClockBumps, BumpsPerCommit,
-        I + 1 == Results.size() ? "" : ",");
-    Out << Buf;
+    W.beginObject(/*Inline=*/true)
+        .field("shape", R.ShapeName)
+        .field("system", R.SystemName)
+        .field("threads", R.Threads)
+        .field("checkers", R.Checkers)
+        .field("clwb_calls", R.Flush.ClwbCalls)
+        .field("lines_scheduled", R.Flush.LinesScheduled)
+        .field("drains", R.Flush.Drains)
+        .field("empty_drains", R.Flush.EmptyDrains)
+        .field("clwb_calls_per_op", (double)R.Flush.ClwbCalls / Ops, 2)
+        .field("lines_scheduled_per_op",
+               (double)R.Flush.LinesScheduled / Ops, 2)
+        .field("coalesced_fraction", Coalesced, 3)
+        .field("aborts_conflict", R.Htm.AbortConflict)
+        .field("aborts_capacity", R.Htm.AbortCapacity)
+        .field("aborts_explicit", R.Htm.AbortExplicit)
+        .field("aborts_zero", R.Htm.AbortZero)
+        .field("sgl_commits", R.Txn.Sgl)
+        .field("sgl_waits", R.Txn.SglWaits)
+        .field("snapshot_extensions", R.Htm.SnapshotExtensions)
+        .field("clock_bumps", R.Htm.ClockBumps)
+        .field("nontx_clock_bumps", R.NonTxClockBumps)
+        .field("clock_bumps_per_commit", BumpsPerCommit, 3)
+        .endObject();
   }
-  Out << "  ]\n}\n";
-  return Out.str();
+  W.endArray().endObject();
+  Out += '\n';
+  return Out;
 }
 
 /// Report-only scaling sanity check (the CI perf-smoke gate): 2-thread
@@ -347,41 +337,9 @@ void checkScaling(const std::vector<CellResult> &Results) {
   }
 }
 
-std::string trajectoryFile(const std::string &PointJson) {
-  return std::string("{\n  \"schema\": \"crafty-hotpath-bench-v1\",\n"
-                     "  \"unit\": \"ns_per_op = wall nanoseconds per "
-                     "committed transaction; drain latency 0\",\n"
-                     "  \"points\": [\n") +
-         PointJson + "\n  ]\n}\n";
-}
-
-bool writeFile(const std::string &Path, const std::string &Content) {
-  std::ofstream Out(Path, std::ios::trunc);
-  Out << Content;
-  return Out.good();
-}
-
-/// Splices \p PointJson before the closing "]" of the points array. The
-/// file format is produced only by this tool, so a textual splice against
-/// the fixed layout is reliable (and keeps the bench dependency-free).
-bool appendPoint(const std::string &Path, const std::string &PointJson) {
-  std::ifstream In(Path);
-  if (!In.good())
-    return writeFile(Path, trajectoryFile(PointJson));
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::string File = Buf.str();
-  const std::string Marker = "\n  ]\n}";
-  size_t Pos = File.rfind(Marker);
-  if (Pos == std::string::npos) {
-    std::fprintf(stderr,
-                 "hotpath: %s does not look like a trajectory file\n",
-                 Path.c_str());
-    return false;
-  }
-  File.insert(Pos, ",\n" + PointJson);
-  return writeFile(Path, File);
-}
+constexpr const char *Schema = "crafty-hotpath-bench-v1";
+constexpr const char *Unit = "ns_per_op = wall nanoseconds per committed "
+                             "transaction; drain latency 0";
 
 } // namespace
 
@@ -434,23 +392,26 @@ int main(int argc, char **argv) {
   checkScaling(Results);
 
   if (!StatsPath.empty()) {
-    if (!writeFile(StatsPath, formatStats(Label, Scale, Results)))
+    if (!writeTextFile(StatsPath, formatStats(Label, Scale, Results)))
       return 1;
     std::fprintf(stderr, "wrote flush stats to %s\n", StatsPath.c_str());
   }
 
   std::string Point = formatPoint(Label, Scale, Results);
   if (!AppendPath.empty()) {
-    if (!appendPoint(AppendPath, Point))
+    if (!appendTrajectoryPoint(AppendPath, Schema, Unit, Point)) {
+      std::fprintf(stderr, "hotpath: cannot append to %s (not a %s file?)\n",
+                   AppendPath.c_str(), Schema);
       return 1;
+    }
     std::fprintf(stderr, "appended point '%s' to %s\n", Label.c_str(),
                  AppendPath.c_str());
   } else if (!OutPath.empty()) {
-    if (!writeFile(OutPath, trajectoryFile(Point)))
+    if (!writeTextFile(OutPath, trajectoryDocument(Schema, Unit, Point)))
       return 1;
     std::fprintf(stderr, "wrote %s\n", OutPath.c_str());
   } else {
-    std::printf("%s\n", trajectoryFile(Point).c_str());
+    std::fputs(trajectoryDocument(Schema, Unit, Point).c_str(), stdout);
   }
   return 0;
 }

@@ -77,6 +77,7 @@
 #include "kv/KvClient.h"
 #include "kv/KvServer.h"
 #include "support/Clock.h"
+#include "support/Json.h"
 #include "support/Rng.h"
 
 #include <algorithm>
@@ -84,10 +85,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <signal.h>
-#include <sstream>
 #include <string>
 #include <sys/wait.h>
 #include <thread>
@@ -490,88 +489,59 @@ CellResult runBenchCell(const Options &Opt, const BenchCell &Cell,
 
 std::string formatPoint(const std::string &Label, double Scale,
                         const std::vector<CellResult> &Results) {
-  std::ostringstream Out;
-  char Buf[320];
-  Out << "    {\n      \"label\": \"" << Label << "\",\n";
-  std::snprintf(Buf, sizeof(Buf), "      \"ops_scale\": %g,\n", Scale);
-  Out << Buf << "      \"results\": [\n";
-  for (size_t I = 0; I != Results.size(); ++I) {
-    const CellResult &R = Results[I];
+  std::string Out;
+  JsonWriter W(Out, JsonWriter::Pretty, TrajectoryPointDepth);
+  W.beginObject()
+      .field("label", Label)
+      .field("ops_scale", Scale)
+      .key("results")
+      .beginArray();
+  for (const CellResult &R : Results) {
     double PerReq = R.Requests ? 1.0 / (1000.0 * (double)R.Requests) : 0;
-    std::snprintf(
-        Buf, sizeof(Buf),
-        "        {\"system\": \"%s\", \"shards\": %u, \"conns\": %u, "
-        "\"batch\": %zu, \"read_pct\": %u, \"value_bytes\": %zu, "
-        "\"ops\": %llu, \"ops_per_sec\": %.0f, \"p50_us\": %.1f, "
-        "\"p99_us\": %.1f,\n",
-        R.SystemName, R.Shards, R.Conns, R.Batch, R.ReadPct, R.ValueBytes,
-        (unsigned long long)R.Ops, R.OpsPerSec, R.P50Us, R.P99Us);
-    Out << Buf;
-    std::snprintf(
-        Buf, sizeof(Buf),
-        "         \"queue_wait_us_per_req\": %.2f, "
-        "\"execute_us_per_req\": %.2f, \"commit_wait_us_per_req\": %.2f, "
-        "\"barriers\": %llu, \"barrier_us_per_call\": %.2f,\n",
-        (double)R.QueueWaitNs * PerReq, (double)R.ExecuteNs * PerReq,
-        (double)R.CommitWaitNs * PerReq, (unsigned long long)R.Barriers,
-        R.Barriers ? (double)R.BarrierNs / (1000.0 * (double)R.Barriers)
-                   : 0.0);
-    Out << Buf << "         \"shards_detail\": [";
+    W.beginObject(/*Inline=*/true)
+        .field("system", R.SystemName)
+        .field("shards", R.Shards)
+        .field("conns", R.Conns)
+        .field("batch", R.Batch)
+        .field("read_pct", R.ReadPct)
+        .field("value_bytes", R.ValueBytes)
+        .field("ops", R.Ops)
+        .field("ops_per_sec", R.OpsPerSec, 0)
+        .field("p50_us", R.P50Us, 1)
+        .field("p99_us", R.P99Us, 1)
+        .field("queue_wait_us_per_req", (double)R.QueueWaitNs * PerReq, 2)
+        .field("execute_us_per_req", (double)R.ExecuteNs * PerReq, 2)
+        .field("commit_wait_us_per_req", (double)R.CommitWaitNs * PerReq, 2)
+        .field("barriers", R.Barriers)
+        .field("barrier_us_per_call",
+               R.Barriers ? (double)R.BarrierNs / (1000.0 * (double)R.Barriers)
+                          : 0.0,
+               2)
+        .key("shards_detail")
+        .beginArray();
     for (size_t S = 0; S != R.PerShard.size(); ++S) {
       const ShardDetail &D = R.PerShard[S];
-      std::snprintf(
-          Buf, sizeof(Buf),
-          "%s{\"shard\": %zu, \"ops_per_sec\": %.0f, "
-          "\"htm_commits\": %llu, \"htm_aborts\": %llu, "
-          "\"clwb_calls\": %llu, \"lines_scheduled\": %llu, "
-          "\"drains\": %llu, \"empty_drains\": %llu}",
-          S ? ",\n           " : "", S,
-          R.ElapsedSec > 0 ? (double)D.Ops / R.ElapsedSec : 0.0,
-          (unsigned long long)D.HtmCommits, (unsigned long long)D.HtmAborts,
-          (unsigned long long)D.ClwbCalls,
-          (unsigned long long)D.LinesScheduled,
-          (unsigned long long)D.Drains, (unsigned long long)D.EmptyDrains);
-      Out << Buf;
+      W.beginObject()
+          .field("shard", S)
+          .field("ops_per_sec",
+                 R.ElapsedSec > 0 ? (double)D.Ops / R.ElapsedSec : 0.0, 0)
+          .field("htm_commits", D.HtmCommits)
+          .field("htm_aborts", D.HtmAborts)
+          .field("clwb_calls", D.ClwbCalls)
+          .field("lines_scheduled", D.LinesScheduled)
+          .field("drains", D.Drains)
+          .field("empty_drains", D.EmptyDrains)
+          .endObject();
     }
-    Out << "]}" << (I + 1 == Results.size() ? "" : ",") << "\n";
+    W.endArray().endObject();
   }
-  Out << "      ]\n    }";
-  return Out.str();
+  W.endArray().endObject();
+  return Out;
 }
 
-std::string trajectoryFile(const std::string &PointJson) {
-  return std::string(
-             "{\n  \"schema\": \"crafty-kv-bench-v1\",\n"
-             "  \"unit\": \"ops_per_sec = completed key operations per "
-             "second over loopback TCP; latencies per request\",\n"
-             "  \"points\": [\n") +
-         PointJson + "\n  ]\n}\n";
-}
-
-bool writeFile(const std::string &Path, const std::string &Content) {
-  std::ofstream Out(Path, std::ios::trunc);
-  Out << Content;
-  return Out.good();
-}
-
-bool appendPoint(const std::string &Path, const std::string &PointJson) {
-  std::ifstream In(Path);
-  if (!In.good())
-    return writeFile(Path, trajectoryFile(PointJson));
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::string File = Buf.str();
-  const std::string Marker = "\n  ]\n}";
-  size_t Pos = File.rfind(Marker);
-  if (Pos == std::string::npos) {
-    std::fprintf(stderr,
-                 "kv_loadgen: %s does not look like a trajectory file\n",
-                 Path.c_str());
-    return false;
-  }
-  File.insert(Pos, ",\n" + PointJson);
-  return writeFile(Path, File);
-}
+constexpr const char *Schema = "crafty-kv-bench-v1";
+constexpr const char *Unit = "ops_per_sec = completed key operations per "
+                             "second over loopback TCP; latencies per request";
 
 //===----------------------------------------------------------------------===//
 // Crash mode
@@ -867,16 +837,20 @@ int main(int argc, char **argv) {
 
   std::string Point = formatPoint(Opt.Label, Scale, Results);
   if (!Opt.AppendPath.empty()) {
-    if (!appendPoint(Opt.AppendPath, Point))
+    if (!appendTrajectoryPoint(Opt.AppendPath, Schema, Unit, Point)) {
+      std::fprintf(stderr,
+                   "kv_loadgen: cannot append to %s (not a %s file?)\n",
+                   Opt.AppendPath.c_str(), Schema);
       return 1;
+    }
     std::fprintf(stderr, "appended point '%s' to %s\n", Opt.Label.c_str(),
                  Opt.AppendPath.c_str());
   } else if (!Opt.OutPath.empty()) {
-    if (!writeFile(Opt.OutPath, trajectoryFile(Point)))
+    if (!writeTextFile(Opt.OutPath, trajectoryDocument(Schema, Unit, Point)))
       return 1;
     std::fprintf(stderr, "wrote %s\n", Opt.OutPath.c_str());
   } else {
-    std::printf("%s\n", trajectoryFile(Point).c_str());
+    std::fputs(trajectoryDocument(Schema, Unit, Point).c_str(), stdout);
   }
   return GateFailed ? 1 : 0;
 }

@@ -7,92 +7,45 @@
 
 #include "check/CheckReport.h"
 
-#include <cstdio>
+#include "support/Json.h"
+
 #include <cstdlib>
 
 using namespace crafty;
 
-/// Appends \p S as a JSON string literal. The emitted strings are static
-/// diagnostic identifiers, but escape defensively anyway.
-static void appendJsonString(std::string &Out, const char *S) {
-  Out += '"';
-  for (; *S; ++S) {
-    char C = *S;
-    if (C == '"' || C == '\\') {
-      Out += '\\';
-      Out += C;
-    } else if (static_cast<unsigned char>(C) < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-      Out += Buf;
-    } else {
-      Out += C;
-    }
-  }
-  Out += '"';
-}
-
-static void appendUnsigned(std::string &Out, uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%llu", (unsigned long long)V);
-  Out += Buf;
-}
-
 std::string CheckReport::toJson() const {
   std::string Out;
-  Out.reserve(256 + Entries.size() * 128);
-  Out += "{\n  \"checker\": ";
-  appendJsonString(Out, Checker);
-  Out += ",\n  \"violations\": ";
-  appendUnsigned(Out, Violations);
-  Out += ",\n  \"lints\": ";
-  appendUnsigned(Out, Lints);
-  Out += ",\n  \"counts\": {";
-  for (size_t I = 0; I != Counts.size(); ++I) {
-    Out += I ? ", " : " ";
-    appendJsonString(Out, Counts[I].first);
-    Out += ": ";
-    appendUnsigned(Out, Counts[I].second);
+  JsonWriter W(Out);
+  W.beginObject()
+      .field("checker", Checker)
+      .field("violations", Violations)
+      .field("lints", Lints)
+      .key("counts")
+      .beginObject(/*Inline=*/true);
+  for (const auto &[Kind, Count] : Counts)
+    W.field(Kind, Count);
+  W.endObject().key("reports").beginArray();
+  for (const CheckReportEntry &E : Entries) {
+    W.beginObject(/*Inline=*/true)
+        .field("kind", E.Kind)
+        .field("violation", E.Violation);
+    if (E.ThreadId != ~0u)
+      W.field("thread", E.ThreadId);
+    if (E.OtherThreadId != ~0u)
+      W.field("otherThread", E.OtherThreadId);
+    W.field("txn", E.TxnIndex)
+        .field("poolOffset", E.PoolOffset)
+        .field("phase", E.Phase)
+        .field("event", E.Event)
+        .endObject();
   }
-  Out += " },\n  \"reports\": [";
-  for (size_t I = 0; I != Entries.size(); ++I) {
-    const CheckReportEntry &E = Entries[I];
-    Out += I ? ",\n    " : "\n    ";
-    Out += "{ \"kind\": ";
-    appendJsonString(Out, E.Kind);
-    Out += ", \"violation\": ";
-    Out += E.Violation ? "true" : "false";
-    if (E.ThreadId != ~0u) {
-      Out += ", \"thread\": ";
-      appendUnsigned(Out, E.ThreadId);
-    }
-    if (E.OtherThreadId != ~0u) {
-      Out += ", \"otherThread\": ";
-      appendUnsigned(Out, E.OtherThreadId);
-    }
-    Out += ", \"txn\": ";
-    appendUnsigned(Out, E.TxnIndex);
-    Out += ", \"poolOffset\": ";
-    appendUnsigned(Out, E.PoolOffset);
-    Out += ", \"phase\": ";
-    appendJsonString(Out, E.Phase);
-    Out += ", \"event\": ";
-    appendJsonString(Out, E.Event);
-    Out += " }";
-  }
-  Out += Entries.empty() ? "]\n}\n" : "\n  ]\n}\n";
+  W.endArray().endObject();
+  Out += '\n';
   return Out;
 }
 
 bool CheckReport::writeJson(const char *Path) const {
-  std::string Json = toJson();
-  std::FILE *F = std::fopen(Path, "w");
-  if (!F)
-    return false;
-  size_t Written = std::fwrite(Json.data(), 1, Json.size(), F);
-  bool Ok = Written == Json.size();
-  Ok &= std::fclose(F) == 0;
-  return Ok;
+  return writeTextFile(Path, toJson());
 }
 
 bool CheckReport::writeJsonToEnvDir(const char *FileStem) const {

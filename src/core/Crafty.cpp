@@ -17,6 +17,9 @@
 using namespace crafty;
 
 namespace {
+/// Retries when forcing a delinquent thread's empty commit.
+constexpr unsigned ForceRetryLimit = 64;
+
 /// Accumulates wall-clock time into a stats counter when enabled.
 class PhaseTimer {
 public:
@@ -186,13 +189,13 @@ void CraftyRuntime::runExpensiveChecks(CraftyThread &Forcer,
         break;
       if (forceEmptyCommit(Forcer, Victim))
         break;
-      if (Try >= Config.ForceRetryLimit) {
+      if (Try >= ForceRetryLimit) {
         // The victim keeps aborting our force transaction, so it is
         // actively committing; wait for its own timestamp to pass the
         // target rather than racing it.
         std::this_thread::yield();
       }
-      if (Try > Config.ForceRetryLimit * 1024)
+      if (Try > ForceRetryLimit * 1024)
         fatalError("log maintenance cannot force a delinquent thread "
                    "(hardware transactions never commit?)");
     }
@@ -242,7 +245,7 @@ void CraftyRuntime::persistBarrierBegin(unsigned CallerThreadId,
   T.Pending = true;
   T.ForcedHeads.assign(Threads.size(), 0);
   for (size_t I = 0; I != Threads.size(); ++I) {
-    for (unsigned Try = 0; Try != Config.ForceRetryLimit; ++Try) {
+    for (unsigned Try = 0; Try != ForceRetryLimit; ++Try) {
       if (forceEmptyCommit(Caller, *Threads[I], &T.ForcedHeads[I]))
         break;
       std::this_thread::yield();
@@ -589,6 +592,7 @@ bool CraftyThread::tryThreadSafe(TxnBody Body) {
     // Redo phase (skipped by Crafty-NoRedo).
     bool TryValidate = Rt.Config.DisableRedo;
     if (!Rt.Config.DisableRedo) {
+      constexpr unsigned RedoRetries = 3; // Before trying Validate.
       unsigned RedoTries = 0;
       for (;;) {
         PhaseOutcome PO = redoPhase();
@@ -606,7 +610,7 @@ bool CraftyThread::tryThreadSafe(TxnBody Body) {
         }
         if (++Attempts >= Rt.Config.SglAttemptThreshold)
           return false;
-        if (++RedoTries >= Rt.Config.RedoRetries) {
+        if (++RedoTries >= RedoRetries) {
           TryValidate = true;
           break;
         }

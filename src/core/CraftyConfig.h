@@ -60,9 +60,6 @@ struct CraftyConfig {
   /// Aborts (across Log/Redo/Validate) before falling back to the SGL.
   unsigned SglAttemptThreshold = 10;
 
-  /// Non-check-failure Redo retries before trying Validate.
-  unsigned RedoRetries = 3;
-
   /// Initial persistent writes per hardware transaction in the chunked
   /// (thread-unsafe / SGL) mode; halved after each abort (Section 4.4).
   unsigned InitialChunkK = 64;
@@ -71,9 +68,6 @@ struct CraftyConfig {
   /// back. The paper defines MAX_LAG in time units; commit timestamps here
   /// are global-version-clock values, so the lag is a commit-count bound.
   uint64_t MaxLag = 1ull << 32;
-
-  /// Retries when forcing a delinquent thread's empty commit.
-  unsigned ForceRetryLimit = 64;
 
   /// Collect per-phase wall-clock times into PtmStats (two clock reads
   /// per phase; off by default to keep the hot path clean).

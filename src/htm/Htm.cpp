@@ -41,7 +41,8 @@ static size_t nextPow2(size_t N) {
 //===----------------------------------------------------------------------===//
 
 HtmRuntime::HtmRuntime(HtmConfig Config) : Config(Config) {
-  size_t Entries = (size_t)1 << Config.LockTableBits;
+  constexpr unsigned LockTableBits = 20; // log2 of the stripe count.
+  size_t Entries = (size_t)1 << LockTableBits;
   TableMask = Entries - 1;
   Table = std::make_unique<std::atomic<uint64_t>[]>(Entries);
   for (size_t I = 0; I != Entries; ++I)
@@ -343,6 +344,8 @@ uint64_t HtmTx::commit() {
                       LockedStripes.end());
 
   uint64_t OwnedTag = reinterpret_cast<uintptr_t>(this) | 1;
+  // Spins on a locked stripe before declaring a conflict.
+  constexpr unsigned CommitLockSpinLimit = 64;
   size_t NumLocked = 0;
   for (std::atomic<uint64_t> *Stripe : LockedStripes) {
     unsigned Spins = 0;
@@ -356,7 +359,7 @@ uint64_t HtmTx::commit() {
         }
         continue;
       }
-      if (++Spins > Runtime.config().CommitLockSpinLimit) {
+      if (++Spins > CommitLockSpinLimit) {
         LockedStripes.resize(NumLocked);
         abortTx(AbortCode::Conflict);
       }

@@ -81,8 +81,6 @@ const char *abortCodeName(AbortCode Code);
 
 /// Configuration of the emulated hardware.
 struct HtmConfig {
-  /// log2 of the number of versioned-lock stripes.
-  unsigned LockTableBits = 20;
   /// Maximum distinct cache lines a transaction may write (Skylake L1 can
   /// hold 512 lines; exceeding this raises a Capacity abort).
   size_t MaxWriteSetLines = 512;
@@ -94,9 +92,6 @@ struct HtmConfig {
   /// Probability of a spurious ("zero") abort per transactional operation,
   /// expressed per million operations. 0 disables injection.
   uint32_t SpuriousAbortPerMillion = 0;
-  /// Bounded spin iterations when acquiring a write lock at commit before
-  /// declaring a conflict.
-  unsigned CommitLockSpinLimit = 64;
 };
 
 /// Per-transaction-context statistics (cumulative across transactions).

@@ -10,6 +10,7 @@
 #include "core/Crafty.h"
 #include "support/Clock.h"
 #include "support/Compiler.h"
+#include "support/Json.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -34,21 +35,11 @@ constexpr uint64_t WakeTag = 0;
 constexpr uint64_t ListenTag = 1;
 constexpr uint64_t FirstConnId = 2;
 
+constexpr int ListenBacklog = 128;
+
 void setNonBlocking(int Fd) {
   int Flags = ::fcntl(Fd, F_GETFL, 0);
   ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK);
-}
-
-void appendJsonU64(std::string &Out, const char *Key, uint64_t V,
-                   bool Comma = true) {
-  Out += '"';
-  Out += Key;
-  Out += "\":";
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%llu", (unsigned long long)V);
-  Out += Buf;
-  if (Comma)
-    Out += ',';
 }
 
 } // namespace
@@ -90,7 +81,7 @@ void KvServer::start() {
   socklen_t AddrLen = sizeof(Addr);
   ::getsockname(ListenFd, reinterpret_cast<sockaddr *>(&Addr), &AddrLen);
   BoundPort = ntohs(Addr.sin_port);
-  if (::listen(ListenFd, Cfg.ListenBacklog) < 0)
+  if (::listen(ListenFd, ListenBacklog) < 0)
     fatalError("KvServer: listen() failed");
   setNonBlocking(ListenFd);
 
@@ -735,34 +726,34 @@ void KvServer::fillStatsContribution(
 }
 
 std::string KvServer::formatStatsJson(const StatsRequest &St) {
-  std::string J = "{\"version\":\"crafty-kv-stats-v1\",\"workers\":[";
+  // Compact layout, workers before shards: readers sum `"key":` matches
+  // and split the document at `"shards":`.
+  std::string J;
+  JsonWriter JW(J, JsonWriter::Compact);
+  JW.beginObject()
+      .field("version", "crafty-kv-stats-v1")
+      .key("workers")
+      .beginArray();
   for (unsigned W = 0; W != NumWorkers; ++W) {
     const WorkerStats &S = St.PerWorker[W];
-    if (W)
-      J += ',';
-    J += '{';
-    appendJsonU64(J, "worker", W);
-    appendJsonU64(J, "requests", S.Requests);
-    appendJsonU64(J, "conns_accepted", S.ConnsAccepted);
-    appendJsonU64(J, "queue_wait_ns", S.QueueWaitNs);
-    appendJsonU64(J, "execute_ns", S.ExecuteNs);
-    appendJsonU64(J, "commit_wait_ns", S.CommitWaitNs);
-    appendJsonU64(J, "barriers", S.Barriers);
-    appendJsonU64(J, "barrier_ns", S.BarrierNs);
-    appendJsonU64(J, "sg_requests", S.SgRequests);
-    appendJsonU64(J, "sg_pieces", S.SgPieces);
-    J += "\"ops_per_shard\":[";
-    for (unsigned Sh = 0; Sh != Store.numShards(); ++Sh) {
-      if (Sh)
-        J += ',';
-      char Buf[24];
-      std::snprintf(Buf, sizeof(Buf), "%llu",
-                    (unsigned long long)S.OpsPerShard[Sh]);
-      J += Buf;
-    }
-    J += "]}";
+    JW.beginObject()
+        .field("worker", W)
+        .field("requests", S.Requests)
+        .field("conns_accepted", S.ConnsAccepted)
+        .field("queue_wait_ns", S.QueueWaitNs)
+        .field("execute_ns", S.ExecuteNs)
+        .field("commit_wait_ns", S.CommitWaitNs)
+        .field("barriers", S.Barriers)
+        .field("barrier_ns", S.BarrierNs)
+        .field("sg_requests", S.SgRequests)
+        .field("sg_pieces", S.SgPieces)
+        .key("ops_per_shard")
+        .beginArray();
+    for (unsigned Sh = 0; Sh != Store.numShards(); ++Sh)
+      JW.value(S.OpsPerShard[Sh]);
+    JW.endArray().endObject();
   }
-  J += "],\"shards\":[";
+  JW.endArray().key("shards").beginArray();
   for (unsigned Sh = 0; Sh != Store.numShards(); ++Sh) {
     uint64_t Ops = 0;
     HtmStats H;
@@ -771,22 +762,20 @@ std::string KvServer::formatStatsJson(const StatsRequest &St) {
       H += St.Htm[W][Sh];
     }
     PMemStats P = Store.shard(Sh).pool().stats();
-    if (Sh)
-      J += ',';
-    J += '{';
-    appendJsonU64(J, "shard", Sh);
-    appendJsonU64(J, "ops", Ops);
-    appendJsonU64(J, "htm_commits", H.Commits);
-    appendJsonU64(J, "htm_aborts", H.aborts());
-    appendJsonU64(J, "htm_abort_capacity", H.AbortCapacity);
-    appendJsonU64(J, "clwb_calls", P.ClwbCalls);
-    appendJsonU64(J, "lines_scheduled", P.LinesScheduled);
-    appendJsonU64(J, "drains", P.Drains);
-    appendJsonU64(J, "empty_drains", P.EmptyDrains);
-    appendJsonU64(J, "evicted_lines", P.EvictedLines, /*Comma=*/false);
-    J += '}';
+    JW.beginObject()
+        .field("shard", Sh)
+        .field("ops", Ops)
+        .field("htm_commits", H.Commits)
+        .field("htm_aborts", H.aborts())
+        .field("htm_abort_capacity", H.AbortCapacity)
+        .field("clwb_calls", P.ClwbCalls)
+        .field("lines_scheduled", P.LinesScheduled)
+        .field("drains", P.Drains)
+        .field("empty_drains", P.EmptyDrains)
+        .field("evicted_lines", P.EvictedLines)
+        .endObject();
   }
-  J += "]}";
+  JW.endArray().endObject();
   return J;
 }
 

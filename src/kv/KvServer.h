@@ -97,7 +97,6 @@ namespace kv {
 struct KvServerConfig {
   /// TCP port on 127.0.0.1; 0 picks an ephemeral port (see port()).
   uint16_t Port = 0;
-  int ListenBacklog = 128;
   /// Read-buffer bytes above which a connection is dropped as abusive.
   size_t MaxBufferedBytes = 4 << 20;
   /// Worker threads; 0 means autoWorkerCount(). More workers than shards

@@ -249,8 +249,7 @@ KvStatus KvShard::setInTx(TxnContext &Tx, uint64_t Key, std::string_view Val,
 bool KvShard::prepareValue(unsigned Tid, std::string_view Val,
                            heap::HeapStaged &S, KvStatus &St) {
   S = {};
-  size_t Threshold = Heap ? Cfg.heapThreshold() : Cfg.MaxValueBytes;
-  if (Val.size() <= Threshold)
+  if (Val.size() <= Cfg.MaxValueBytes)
     return true; // Inline cell fast path.
   if (!Heap || Val.size() > heap::DurableHeap::MaxObjectBytes) {
     St = KvStatus::TooBig;

@@ -22,7 +22,7 @@
 /// recovery free: rolling back the undo log restores map, cells and
 /// freelist to one consistent snapshot, with no allocator rebuild.
 ///
-/// With KvConfig::HeapPages set, values above KvConfig::heapThreshold()
+/// With KvConfig::HeapPages set, values above KvConfig::MaxValueBytes
 /// route through the shard's heap::DurableHeap: the bytes are staged to
 /// fresh pages *before* the mutation's transaction (allocAndStage), and
 /// the transaction itself only swings the cell to a heap-tagged ref

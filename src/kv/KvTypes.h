@@ -107,11 +107,6 @@ struct KvConfig {
   /// (heap/DurableHeap.h); 0 disables the heap, confining values to the
   /// inline cell arena (the pre-heap behavior).
   size_t HeapPages = 0;
-  /// Values strictly larger than this route through the heap (heap
-  /// enabled only); 0 means MaxValueBytes, i.e. inline cells stay the
-  /// small-value fast path and only values that cannot fit inline pay
-  /// the stage-then-publish pipeline.
-  size_t HeapValueThreshold = 0;
   /// WAL records for in-flight heap extents. Bounds concurrently staged
   /// but unpublished extents; keep >= BatchTxnLimit so one batch chunk
   /// can pre-stage entirely.
@@ -127,13 +122,6 @@ struct KvConfig {
   /// extent cap when the heap is enabled, MaxValueBytes otherwise.
   size_t activeValueLimit() const {
     return HeapPages ? heap::DurableHeap::MaxObjectBytes : MaxValueBytes;
-  }
-
-  /// Inline/heap routing threshold actually applied (clamped so inline
-  /// values always fit a cell).
-  size_t heapThreshold() const {
-    size_t T = HeapValueThreshold ? HeapValueThreshold : MaxValueBytes;
-    return T < MaxValueBytes ? T : MaxValueBytes;
   }
 };
 

@@ -25,7 +25,9 @@
 #include "gtest/gtest.h"
 
 #include <atomic>
+#include <cctype>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <optional>
 #include <signal.h>
@@ -675,6 +677,64 @@ TEST(KvServerSmoke, EndToEndOverLoopback) {
   EXPECT_GT(Server.requestsServed(), 5u);
   Server.stop();
   EXPECT_EQ(Store.checkerViolations(), 0u);
+}
+
+/// Integer values of every `"Key":<digits>` in \p J[From, To); a match
+/// not followed by digits is a test failure.
+std::vector<uint64_t> intFields(const std::string &J, size_t From, size_t To,
+                                const std::string &Key) {
+  std::vector<uint64_t> Vals;
+  std::string Pat = "\"" + Key + "\":";
+  for (size_t P = J.find(Pat, From); P < To; P = J.find(Pat, P + 1)) {
+    size_t V = P + Pat.size();
+    EXPECT_TRUE(V < J.size() && std::isdigit((unsigned char)J[V]))
+        << Key << " is not followed by an integer in " << J;
+    Vals.push_back(std::strtoull(J.c_str() + V, nullptr, 10));
+  }
+  return Vals;
+}
+
+/// Pins the STATS document over the wire: its readers
+/// (perfbench/src/KvBench.cpp and kv_loadgen) find counters by searching
+/// for `"key":` and split workers from shards at `"shards":`.
+TEST(KvServerSmoke, StatsDocumentKeepsItsKeys) {
+  constexpr unsigned Shards = 2, Workers = 2;
+  KvStore Store(smallConfig(Shards));
+  KvServerConfig SC;
+  SC.Workers = Workers;
+  KvServer Server(Store, SC);
+  Server.start();
+  KvClient Client;
+  ASSERT_TRUE(Client.connect(Server.port()));
+  std::string Out;
+  for (uint64_t K = 1; K != 5; ++K)
+    ASSERT_EQ(Client.set(K, valueFor(K, 1)), KvStatus::Ok);
+  for (uint64_t K = 1; K != 5; ++K)
+    ASSERT_EQ(Client.get(K, Out), KvStatus::Ok);
+  std::string J;
+  ASSERT_TRUE(Client.stats(J));
+  Client.quit();
+  Server.stop();
+
+  EXPECT_EQ(J.rfind("{\"version\":\"crafty-kv-stats-v1\",", 0), 0u) << J;
+  size_t Split = J.find("\"shards\":");
+  ASSERT_NE(Split, std::string::npos) << J;
+  EXPECT_EQ(J.find("\"shards\":", Split + 1), std::string::npos) << J;
+  ASSERT_LT(J.find("\"workers\":"), Split) << J;
+  for (const char *Key : {"requests", "queue_wait_ns", "execute_ns",
+                          "commit_wait_ns", "barriers", "barrier_ns"}) {
+    EXPECT_EQ(intFields(J, 0, Split, Key).size(), Workers) << Key << J;
+    EXPECT_TRUE(intFields(J, Split, J.size(), Key).empty()) << Key << J;
+  }
+  for (const char *Key : {"ops", "htm_commits", "htm_aborts", "clwb_calls",
+                          "lines_scheduled", "drains", "empty_drains"}) {
+    EXPECT_EQ(intFields(J, Split, J.size(), Key).size(), Shards) << Key << J;
+    EXPECT_TRUE(intFields(J, 0, Split, Key).empty()) << Key << J;
+  }
+  uint64_t Ops = 0;
+  for (uint64_t V : intFields(J, Split, J.size(), "ops"))
+    Ops += V;
+  EXPECT_EQ(Ops, 8u) << J;
 }
 
 //===----------------------------------------------------------------------===//

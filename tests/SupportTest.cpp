@@ -8,12 +8,18 @@
 #include "support/CacheLine.h"
 #include "support/Clock.h"
 #include "support/FunctionRef.h"
+#include "support/Json.h"
 #include "support/Rng.h"
 #include "support/Spin.h"
 
 #include "gtest/gtest.h"
 
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <limits>
 #include <set>
+#include <sstream>
 
 using namespace crafty;
 
@@ -108,6 +114,161 @@ TEST(Spin, BackoffEventuallyYields) {
     B.pause(); // Must not hang or crash; yields after bursts.
   B.reset();
   B.pause();
+}
+
+std::string readWholeFile(const std::string &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+TEST(Json, EscapesQuotesBackslashesAndControlCharacters) {
+  std::string Out;
+  JsonWriter::escape(Out, std::string_view("a\"b\\c\n\t\r\x01\x1f\0z", 12));
+  EXPECT_EQ(Out, R"("a\"b\\c\n\t\r\u0001\u001f\u0000z")");
+
+  std::string Doc;
+  JsonWriter(Doc, JsonWriter::Compact)
+      .beginObject()
+      .field("k\"ey", "v\x02")
+      .endObject();
+  EXPECT_EQ(Doc, R"({"k\"ey":"v\u0002"})");
+}
+
+TEST(Json, PlacesCommasInEmptyAndNestedContainers) {
+  auto Build = [](JsonWriter &W) {
+    W.beginObject().key("a").beginObject().endObject();
+    W.key("b").beginArray().endArray();
+    W.key("c").beginArray().beginArray().endArray();
+    W.beginObject().field("x", 1).endObject().value(2).endArray();
+    W.endObject();
+  };
+  std::string Compact;
+  JsonWriter C(Compact, JsonWriter::Compact);
+  Build(C);
+  EXPECT_EQ(Compact, R"({"a":{},"b":[],"c":[[],{"x":1},2]})");
+
+  std::string Pretty;
+  JsonWriter P(Pretty);
+  Build(P);
+  EXPECT_EQ(Pretty, "{\n"
+                    "  \"a\": {},\n"
+                    "  \"b\": [],\n"
+                    "  \"c\": [\n"
+                    "    [],\n"
+                    "    {\n"
+                    "      \"x\": 1\n"
+                    "    },\n"
+                    "    2\n"
+                    "  ]\n"
+                    "}");
+
+  // Inline containers stay on one line, and so do their children.
+  std::string Inline;
+  JsonWriter(Inline)
+      .beginArray()
+      .beginObject(/*Inline=*/true)
+      .field("a", 1)
+      .key("b")
+      .beginArray()
+      .value(2)
+      .beginObject()
+      .endObject()
+      .endArray()
+      .endObject()
+      .beginArray(/*Inline=*/true)
+      .endArray()
+      .endArray();
+  EXPECT_EQ(Inline, "[\n  {\"a\": 1, \"b\": [2, {}]},\n  []\n]");
+
+  std::string Empty;
+  JsonWriter(Empty).beginArray().endArray();
+  EXPECT_EQ(Empty, "[]");
+}
+
+TEST(Json, WritesIntegerExtremesAndFixedPrecisionDoubles) {
+  std::string Out;
+  JsonWriter(Out, JsonWriter::Compact)
+      .beginArray()
+      .value(std::numeric_limits<uint64_t>::max())
+      .value(std::numeric_limits<int64_t>::min())
+      .value(0u)
+      .value(true)
+      .value(1885.84, 1)
+      .value(2.0 / 3.0, 3)
+      .value(0.01, 2)
+      .value(3186616.4, 0)
+      .value(0.01)
+      .value(3.0)
+      .value(std::nan(""), 1)
+      .endArray();
+  EXPECT_EQ(Out, "[18446744073709551615,-9223372036854775808,0,true,1885.8,"
+                 "0.667,0.01,3186616,0.01,3,null]");
+}
+
+/// A trajectory point as the benches render one.
+std::string labelPoint(const std::string &Label, uint64_t N) {
+  std::string Point;
+  JsonWriter(Point, JsonWriter::Pretty, TrajectoryPointDepth)
+      .beginObject()
+      .field("label", Label)
+      .field("n", N)
+      .endObject();
+  return Point;
+}
+
+TEST(Json, TrajectoryAppendCreatesThenSplicesEscapedPoints) {
+  std::string Path = ::testing::TempDir() + "/crafty_json_trajectory.json";
+  std::remove(Path.c_str());
+
+  ASSERT_TRUE(appendTrajectoryPoint(Path, "demo-v1", "n = count",
+                                    labelPoint("pr\"15", 1)));
+  const std::string First = "{\n"
+                            "  \"schema\": \"demo-v1\",\n"
+                            "  \"unit\": \"n = count\",\n"
+                            "  \"points\": [\n"
+                            "    {\n"
+                            "      \"label\": \"pr\\\"15\",\n"
+                            "      \"n\": 1\n"
+                            "    }\n"
+                            "  ]\n"
+                            "}\n";
+  EXPECT_EQ(readWholeFile(Path), First);
+
+  ASSERT_TRUE(appendTrajectoryPoint(Path, "demo-v1", "n = count",
+                                    labelPoint("a\\b\nc", 2)));
+  const std::string Second = "{\n"
+                             "  \"schema\": \"demo-v1\",\n"
+                             "  \"unit\": \"n = count\",\n"
+                             "  \"points\": [\n"
+                             "    {\n"
+                             "      \"label\": \"pr\\\"15\",\n"
+                             "      \"n\": 1\n"
+                             "    },\n"
+                             "    {\n"
+                             "      \"label\": \"a\\\\b\\nc\",\n"
+                             "      \"n\": 2\n"
+                             "    }\n"
+                             "  ]\n"
+                             "}\n";
+  EXPECT_EQ(readWholeFile(Path), Second);
+  std::remove(Path.c_str());
+}
+
+TEST(Json, TrajectoryAppendRefusesForeignFileUntouched) {
+  std::string Path = ::testing::TempDir() + "/crafty_json_foreign.json";
+  // Not a trajectory at all, and a trajectory of another schema (whose
+  // tail alone would match the splice point).
+  for (const std::string &Foreign :
+       {std::string("{\"other\": [1]}\n"),
+        trajectoryDocument("other-v1", "u", labelPoint("x", 1))}) {
+    ASSERT_TRUE(writeTextFile(Path, Foreign));
+    EXPECT_FALSE(
+        appendTrajectoryPoint(Path, "demo-v1", "u", labelPoint("y", 2)));
+    EXPECT_EQ(readWholeFile(Path), Foreign);
+  }
+  std::remove(Path.c_str());
 }
 
 } // namespace

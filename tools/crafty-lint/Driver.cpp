@@ -22,6 +22,7 @@
 #include "Checks.h"
 #include "Model.h"
 #include "Summary.h"
+#include "support/Json.h"
 
 #include <atomic>
 #include <cstdio>
@@ -40,6 +41,8 @@
 
 namespace fs = std::filesystem;
 using namespace craftylint;
+using crafty::JsonWriter;
+using crafty::writeTextFile;
 
 namespace {
 
@@ -213,28 +216,6 @@ private:
     return true;
   }
 };
-
-std::string jsonEscape(const std::string &S) {
-  std::string R;
-  for (char C : S) {
-    switch (C) {
-    case '"': R += "\\\""; break;
-    case '\\': R += "\\\\"; break;
-    case '\n': R += "\\n"; break;
-    case '\t': R += "\\t"; break;
-    case '\r': R += "\\r"; break;
-    default:
-      if ((unsigned char)C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof Buf, "\\u%04x", C);
-        R += Buf;
-      } else {
-        R.push_back(C);
-      }
-    }
-  }
-  return R;
-}
 
 //===----------------------------------------------------------------------===//
 // File loading
@@ -506,50 +487,20 @@ void applyBaseline(std::vector<Diagnostic> &Diags,
   }
 }
 
-bool writeBaseline(const fs::path &Path, const std::vector<Diagnostic> &Diags) {
-  std::ofstream Out(Path, std::ios::trunc);
-  if (!Out)
-    return false;
-  Out << "{\n  \"tool\": \"crafty-lint\",\n  \"entries\": [";
-  std::set<std::string> Seen;
-  bool First = true;
-  for (const Diagnostic &D : Diags) {
-    std::string Key = D.Rule + "|" + D.File + "|" + D.Func;
-    if (!Seen.insert(Key).second)
-      continue;
-    if (!First)
-      Out << ",";
-    First = false;
-    Out << "\n    { \"rule\": \"" << jsonEscape(D.Rule) << "\", \"file\": \""
-        << jsonEscape(D.File) << "\", \"function\": \"" << jsonEscape(D.Func)
-        << "\",\n      \"justification\": \"TODO: justify or fix\" }";
-  }
-  Out << "\n  ]\n}\n";
-  return Out.good();
-}
-
-/// Rewrites the baseline keeping only entries that still matched a
-/// finding, preserving their justifications.
-bool pruneBaseline(const fs::path &Path,
+bool writeBaseline(const fs::path &Path,
                    const std::vector<BaselineEntry> &Baseline) {
-  std::ofstream Out(Path, std::ios::trunc);
-  if (!Out)
-    return false;
-  Out << "{\n  \"tool\": \"crafty-lint\",\n  \"entries\": [";
-  bool First = true;
-  for (const BaselineEntry &B : Baseline) {
-    if (!B.Matched)
-      continue;
-    if (!First)
-      Out << ",";
-    First = false;
-    Out << "\n    { \"rule\": \"" << jsonEscape(B.Rule) << "\", \"file\": \""
-        << jsonEscape(B.File) << "\", \"function\": \""
-        << jsonEscape(B.Function) << "\",\n      \"justification\": \""
-        << jsonEscape(B.Justification) << "\" }";
-  }
-  Out << "\n  ]\n}\n";
-  return Out.good();
+  std::string Out;
+  JsonWriter W(Out);
+  W.beginObject().field("tool", "crafty-lint").key("entries").beginArray();
+  for (const BaselineEntry &B : Baseline)
+    W.beginObject(/*Inline=*/true)
+        .field("rule", B.Rule)
+        .field("file", B.File)
+        .field("function", B.Function)
+        .field("justification", B.Justification)
+        .endObject();
+  W.endArray().endObject();
+  return writeTextFile(Path.string(), Out + '\n');
 }
 
 //===----------------------------------------------------------------------===//
@@ -564,45 +515,38 @@ bool writeJsonReport(const fs::path &Path, const CheckResult &Result) {
     ++Counts[D.Rule];
     (D.Baselined ? BaseCount : NewCount)++;
   }
-  std::ofstream Out(Path, std::ios::trunc);
-  if (!Out)
-    return false;
   // Mirrors src/check/CheckReport.h: checker/violations/lints/counts/reports.
-  Out << "{ \"checker\": \"crafty-lint\", \"violations\": " << NewCount
-      << ", \"lints\": " << BaseCount << ",\n  \"counts\": {";
-  bool First = true;
-  for (const auto &KV : Counts) {
-    if (!First)
-      Out << ", ";
-    First = false;
-    Out << "\"" << jsonEscape(KV.first) << "\": " << KV.second;
-  }
-  Out << "},\n  \"reports\": [";
-  First = true;
-  for (const Diagnostic &D : Diags) {
-    if (!First)
-      Out << ",";
-    First = false;
-    Out << "\n    { \"kind\": \"" << jsonEscape(D.Rule)
-        << "\", \"violation\": " << (D.Baselined ? "false" : "true")
-        << ", \"file\": \"" << jsonEscape(D.File) << "\", \"line\": " << D.Line
-        << ",\n      \"function\": \"" << jsonEscape(D.Func)
-        << "\", \"baselined\": " << (D.Baselined ? "true" : "false")
-        << ",\n      \"message\": \"" << jsonEscape(D.Message) << "\" }";
-  }
-  Out << "\n  ],\n  \"capacities\": [";
-  First = true;
-  for (const CapacityEntry &C : Result.Capacities) {
-    if (!First)
-      Out << ",";
-    First = false;
-    Out << "\n    { \"function\": \"" << jsonEscape(C.QualName)
-        << "\", \"file\": \"" << jsonEscape(C.File)
-        << "\", \"line\": " << C.Line << ", \"bound\": \""
-        << jsonEscape(C.Bound) << "\" }";
-  }
-  Out << "\n  ]\n}\n";
-  return Out.good();
+  std::string Out;
+  JsonWriter W(Out);
+  W.beginObject()
+      .field("checker", "crafty-lint")
+      .field("violations", NewCount)
+      .field("lints", BaseCount)
+      .key("counts")
+      .beginObject(/*Inline=*/true);
+  for (const auto &[Rule, Count] : Counts)
+    W.field(Rule, Count);
+  W.endObject().key("reports").beginArray();
+  for (const Diagnostic &D : Diags)
+    W.beginObject(/*Inline=*/true)
+        .field("kind", D.Rule)
+        .field("violation", !D.Baselined)
+        .field("file", D.File)
+        .field("line", D.Line)
+        .field("function", D.Func)
+        .field("baselined", D.Baselined)
+        .field("message", D.Message)
+        .endObject();
+  W.endArray().key("capacities").beginArray();
+  for (const CapacityEntry &C : Result.Capacities)
+    W.beginObject(/*Inline=*/true)
+        .field("function", C.QualName)
+        .field("file", C.File)
+        .field("line", C.Line)
+        .field("bound", C.Bound)
+        .endObject();
+  W.endArray().endObject();
+  return writeTextFile(Path.string(), Out + '\n');
 }
 
 struct RuleDoc {
@@ -631,46 +575,59 @@ const RuleDoc RuleDocs[] = {
 /// SARIF 2.1.0, one run, results carrying root-relative artifact URIs --
 /// the layout GitHub code scanning ingests.
 bool writeSarif(const fs::path &Path, const std::vector<Diagnostic> &Diags) {
-  std::ofstream Out(Path, std::ios::trunc);
-  if (!Out)
-    return false;
-  Out << "{\n"
-      << "  \"$schema\": "
-         "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-      << "  \"version\": \"2.1.0\",\n"
-      << "  \"runs\": [ {\n"
-      << "    \"tool\": { \"driver\": {\n"
-      << "      \"name\": \"crafty-lint\",\n"
-      << "      \"informationUri\": "
-         "\"https://example.invalid/crafty/tools/crafty-lint\",\n"
-      << "      \"rules\": [";
-  bool First = true;
-  for (const RuleDoc &R : RuleDocs) {
-    if (!First)
-      Out << ",";
-    First = false;
-    Out << "\n        { \"id\": \"" << R.Id
-        << "\", \"shortDescription\": { \"text\": \"" << jsonEscape(R.Short)
-        << "\" } }";
-  }
-  Out << "\n      ]\n    } },\n    \"results\": [";
-  First = true;
-  for (const Diagnostic &D : Diags) {
-    if (!First)
-      Out << ",";
-    First = false;
-    Out << "\n      {\n        \"ruleId\": \"" << jsonEscape(D.Rule)
-        << "\",\n        \"level\": \"" << (D.Baselined ? "note" : "error")
-        << "\",\n        \"message\": { \"text\": \""
-        << jsonEscape(D.Message + " [in " + D.Func + "]")
-        << "\" },\n        \"locations\": [ { \"physicalLocation\": {\n"
-        << "          \"artifactLocation\": { \"uri\": \""
-        << jsonEscape(D.File) << "\" },\n          \"region\": { "
-        << "\"startLine\": " << (D.Line > 0 ? D.Line : 1)
-        << " }\n        } } ]\n      }";
-  }
-  Out << "\n    ]\n  } ]\n}\n";
-  return Out.good();
+  std::string Out;
+  JsonWriter W(Out);
+  W.beginObject()
+      .field("$schema", "https://json.schemastore.org/sarif-2.1.0.json")
+      .field("version", "2.1.0")
+      .key("runs")
+      .beginArray()
+      .beginObject()
+      .key("tool")
+      .beginObject()
+      .key("driver")
+      .beginObject()
+      .field("name", "crafty-lint")
+      .field("informationUri",
+             "https://example.invalid/crafty/tools/crafty-lint")
+      .key("rules")
+      .beginArray();
+  for (const RuleDoc &R : RuleDocs)
+    W.beginObject(/*Inline=*/true)
+        .field("id", R.Id)
+        .key("shortDescription")
+        .beginObject()
+        .field("text", R.Short)
+        .endObject()
+        .endObject();
+  W.endArray().endObject().endObject().key("results").beginArray();
+  for (const Diagnostic &D : Diags)
+    W.beginObject()
+        .field("ruleId", D.Rule)
+        .field("level", D.Baselined ? "note" : "error")
+        .key("message")
+        .beginObject(/*Inline=*/true)
+        .field("text", D.Message + " [in " + D.Func + "]")
+        .endObject()
+        .key("locations")
+        .beginArray(/*Inline=*/true)
+        .beginObject()
+        .key("physicalLocation")
+        .beginObject()
+        .key("artifactLocation")
+        .beginObject()
+        .field("uri", D.File)
+        .endObject()
+        .key("region")
+        .beginObject()
+        .field("startLine", D.Line > 0 ? D.Line : 1)
+        .endObject()
+        .endObject()
+        .endObject()
+        .endArray()
+        .endObject();
+  W.endArray().endObject().endArray().endObject();
+  return writeTextFile(Path.string(), Out + '\n');
 }
 
 /// `<bound> <qualified-name>` per CRAFTY_TX_BODY root, sorted by name:
@@ -976,7 +933,13 @@ int main(int argc, char **argv) {
   std::vector<Diagnostic> &Diags = Result.Diags;
 
   if (!Opt.WriteBaselinePath.empty()) {
-    if (!writeBaseline(Opt.WriteBaselinePath, Diags)) {
+    // One entry per (rule, file, function) accepting every finding.
+    std::vector<BaselineEntry> Fresh;
+    std::set<std::string> Seen;
+    for (const Diagnostic &D : Diags)
+      if (Seen.insert(D.Rule + "|" + D.File + "|" + D.Func).second)
+        Fresh.push_back({D.Rule, D.File, D.Func, "TODO: justify or fix"});
+    if (!writeBaseline(Opt.WriteBaselinePath, Fresh)) {
       std::fprintf(stderr, "crafty-lint: cannot write %s\n",
                    Opt.WriteBaselinePath.string().c_str());
       return 2;
@@ -1020,7 +983,10 @@ int main(int argc, char **argv) {
                  B.File.c_str(), B.Function.c_str());
   }
   if (Stale && Opt.PruneBaseline) {
-    if (!pruneBaseline(Opt.BaselinePath, Baseline)) {
+    // Keep the entries that still match a finding, with their
+    // justifications.
+    std::erase_if(Baseline, [](const BaselineEntry &B) { return !B.Matched; });
+    if (!writeBaseline(Opt.BaselinePath, Baseline)) {
       std::fprintf(stderr, "crafty-lint: cannot rewrite %s\n",
                    Opt.BaselinePath.string().c_str());
       return 2;
