@@ -54,7 +54,7 @@ int main() {
     }
     Ledger[K] = valueOf(K, 1);
   }
-  Store.persistAll();
+  Store.persistAck(0);
 
   // Phase 2: overwrites and inserts that a crash may or may not keep.
   for (uint64_t K = 400; K != 700; ++K)

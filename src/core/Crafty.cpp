@@ -17,7 +17,8 @@
 using namespace crafty;
 
 namespace {
-/// Retries when forcing a delinquent thread's empty commit.
+/// Failed forces of one thread's empty commit before forceHorizon starts
+/// yielding between tries.
 constexpr unsigned ForceRetryLimit = 64;
 
 /// Accumulates wall-clock time into a stats counter when enabled.
@@ -146,10 +147,8 @@ HtmStats CraftyRuntime::htmStatsFor(unsigned ThreadId) const {
 }
 
 bool CraftyRuntime::forceEmptyCommit(CraftyThread &Forcer,
-                                     CraftyThread &Victim,
-                                     uint64_t *ForcedHeadOut) {
+                                     CraftyThread &Victim) {
   size_t TagSlot = 0;
-  uint64_t ForcedHead = 0;
   TxResult R = runHtmTx(Forcer.ForceTx, [&](HtmTx &T) {
     uint64_t Abs = T.load(&Victim.HeadShared);
     TagSlot = Victim.Log.slotFor(Abs);
@@ -159,12 +158,9 @@ bool CraftyRuntime::forceEmptyCommit(CraftyThread &Forcer,
                          TagTsCommitVersionShift, Pass);
     T.store(&Victim.HeadShared, Abs + 1);
     T.storeCommitVersion(&Victim.LastCommittedTs);
-    ForcedHead = Abs + 1;
   });
   if (!R.Committed)
     return false;
-  if (ForcedHeadOut)
-    *ForcedHeadOut = ForcedHead;
   // Flushed by the forcer; drained at the forcer's next commit fence,
   // i.e. before any entry the forcer may then overwrite can persist.
   Pool.clwb(Forcer.ThreadId, Victim.Log.addrWordAt(TagSlot));
@@ -175,13 +171,13 @@ bool CraftyRuntime::forceEmptyCommit(CraftyThread &Forcer,
   return true;
 }
 
-void CraftyRuntime::runExpensiveChecks(CraftyThread &Forcer,
-                                       uint64_t TargetTs) {
+void CraftyRuntime::forceHorizon(CraftyThread &Forcer, uint64_t TargetTs) {
   // Bring every thread's last committed transaction to ts >= TargetTs,
   // forcing empty commits into delinquent threads' logs (Section 5.2).
   // A forced commit's ts is a fresh commit version, which exceeds any
   // already-written timestamp and in particular TargetTs whenever
-  // TargetTs <= the clock at the force (true for both callers).
+  // TargetTs <= the clock at the force (true for log upkeep). The
+  // barrier's UINT64_MAX is never reached, so every thread is forced.
   for (auto &VictimPtr : Threads) {
     CraftyThread &Victim = *VictimPtr;
     for (unsigned Try = 0;; ++Try) {
@@ -196,7 +192,7 @@ void CraftyRuntime::runExpensiveChecks(CraftyThread &Forcer,
         std::this_thread::yield();
       }
       if (Try > ForceRetryLimit * 1024)
-        fatalError("log maintenance cannot force a delinquent thread "
+        fatalError("cannot force a delinquent thread's empty commit "
                    "(hardware transactions never commit?)");
     }
   }
@@ -212,60 +208,20 @@ void CraftyRuntime::runExpensiveChecks(CraftyThread &Forcer,
 }
 
 void CraftyRuntime::persistBarrier(unsigned CallerThreadId) {
-  PersistBarrierTicket T;
-  persistBarrierBegin(CallerThreadId, T);
-  persistBarrierEnd(CallerThreadId, T);
-}
-
-void CraftyRuntime::persistBarrierBegin(unsigned CallerThreadId,
-                                        PersistBarrierTicket &T) {
+  // A barrier runs outside any transaction scope. A scope of its own
+  // attributes the forced tags to the forcer, so a victim draining its
+  // own earlier CLWB of a tag line is not blamed for a broken chain.
+  if (Checker)
+    Checker->beginTxn(CallerThreadId);
   // Persist every committed write (models a full cache write-back), then
-  // move every thread's last sequence past all prior transactions so
-  // recovery's rollback threshold lands after them.
-  // Fast path: if every context's head still equals the value a previous
-  // barrier published after its drain, no transaction has committed
-  // anywhere since a fully persisted barrier, so its horizon -- and every
-  // flush it performed -- still covers the pool. The check must hold for
-  // all contexts at once; see CraftyThread::ForcedUpTo.
-  T.Pending = false;
-  bool Quiet = true;
-  for (auto &Th : Threads)
-    if (Htm.nonTxLoad(&Th->HeadShared) !=
-        Th->ForcedUpTo.load(std::memory_order_acquire)) {
-      Quiet = false;
-      break;
-    }
-  if (Quiet)
-    return;
-  // The write-back latency is charged to the caller's drain deadline;
-  // persistBarrierEnd's drain waits it out together with the forced
-  // tags' CLWBs below.
+  // force every thread's last sequence past all prior transactions so
+  // recovery's rollback threshold lands after them. One drain persists
+  // the write-back and the forced tags together.
   Pool.flushEverythingDeferred(CallerThreadId);
-  CraftyThread &Caller = *Threads[CallerThreadId];
-  T.Pending = true;
-  T.ForcedHeads.assign(Threads.size(), 0);
-  for (size_t I = 0; I != Threads.size(); ++I) {
-    for (unsigned Try = 0; Try != ForceRetryLimit; ++Try) {
-      if (forceEmptyCommit(Caller, *Threads[I], &T.ForcedHeads[I]))
-        break;
-      std::this_thread::yield();
-    }
-  }
-}
-
-void CraftyRuntime::persistBarrierEnd(unsigned CallerThreadId,
-                                      PersistBarrierTicket &T) {
-  if (!T.Pending)
-    return;
-  T.Pending = false;
-  Pool.drain(CallerThreadId); // Persist the write-back + the forced tags.
-  // Publish the forced heads only now that the tags have drained; a 0
-  // means the force lost every retry to an actively committing context,
-  // whose moving head would fail the fast-path check anyway.
-  for (size_t I = 0; I != Threads.size(); ++I)
-    if (T.ForcedHeads[I])
-      Threads[I]->ForcedUpTo.store(T.ForcedHeads[I],
-                                   std::memory_order_release);
+  forceHorizon(*Threads[CallerThreadId], UINT64_MAX);
+  Pool.drain(CallerThreadId);
+  if (Checker)
+    Checker->endTxn();
 }
 
 //===----------------------------------------------------------------------===//
@@ -526,7 +482,7 @@ void CraftyThread::maybeMaintainLog(uint64_t EntriesNeeded) {
       Target = std::max(Target, OverwriteBound);
   }
   if (Target)
-    Rt.runExpensiveChecks(*this, Target);
+    Rt.forceHorizon(*this, Target);
   // The forced tags are flushed by the forcer and the victims' earlier
   // flushes completed (drainRemote), so proceeding is safe: recovery's
   // rollback threshold can no longer reach the entries we overwrite.

@@ -148,8 +148,7 @@ private:
 
   /// Section 5.2 cheap checks, run between hardware transactions before
   /// appending up to \p EntriesNeeded log entries; escalates to
-  /// CraftyRuntime::runExpensiveChecks when a bound is (possibly)
-  /// violated.
+  /// CraftyRuntime::forceHorizon when a bound is (possibly) violated.
   void maybeMaintainLog(uint64_t EntriesNeeded);
   size_t maxSeqEntries() const { return Log.NumEntries / 2 - 8; }
 
@@ -202,16 +201,6 @@ private:
   /// threads' forced-commit transactions (Section 5.2).
   alignas(CacheLineBytes) uint64_t HeadShared = 0;
   uint64_t LastCommittedTs = 0;
-  /// Log head right after the tag a *completed* persistBarrier forced
-  /// into this context (~0 until one completes). Published only after
-  /// that barrier's final drain, so when every context's HeadShared still
-  /// equals its ForcedUpTo, nothing has committed anywhere since a fully
-  /// persisted barrier and its recovery horizon still stands -- the next
-  /// barrier can return immediately. The check must span all contexts:
-  /// skipping one idle context alone would leave its newest tag with a
-  /// stale timestamp, dragging recovery's min-over-threads rollback
-  /// threshold below transactions the barrier just persisted.
-  std::atomic<uint64_t> ForcedUpTo{~0ull};
 
   // Current-transaction volatile state.
   Context Ctx{*this};
@@ -259,18 +248,6 @@ private:
   PtmStats Stats;
 };
 
-/// In-flight state of a two-phase persist barrier (see
-/// CraftyRuntime::persistBarrierBegin). Reusable across barriers.
-struct PersistBarrierTicket {
-  /// Begin took the slow path; End must drain and publish. A quiet
-  /// barrier (nothing committed since the last one) leaves this false
-  /// and End is free.
-  bool Pending = false;
-  /// Per-context forced log heads, published as ForcedUpTo by End once
-  /// the forced tags have drained (0 = force lost every retry).
-  std::vector<uint64_t> ForcedHeads;
-};
-
 /// The Crafty runtime: shared state, the thread registry, and the
 /// PtmBackend adapter used by the evaluation harness.
 class CraftyRuntime final : public PtmBackend {
@@ -314,21 +291,9 @@ public:
   /// On-demand immediate persistence (Section 5.2 extension): after this
   /// returns, every transaction that committed before the call survives
   /// recovery. Call before externally visible, irrevocable actions.
+  /// Call it outside any transaction body: it opens its own PersistCheck
+  /// scope on the calling OS thread.
   CRAFTY_DRAIN_API void persistBarrier(unsigned CallerThreadId);
-
-  /// Two-phase persistBarrier for callers persisting several runtimes
-  /// back to back (one KV worker committing a multi-shard cycle): call
-  /// persistBarrierBegin on every runtime first, then persistBarrierEnd
-  /// on every runtime. Begin writes the pool back and forces the empty
-  /// commits but does not wait out the write-back latency; End drains
-  /// and publishes the barrier horizon. The fixed drain waits of all the
-  /// runtimes then overlap in the End pass instead of serializing --
-  /// like issuing every CLWB before a single SFENCE. Begin/End pairs
-  /// must not be interleaved with other barriers from the same caller.
-  CRAFTY_DRAIN_DEFERRED void persistBarrierBegin(unsigned CallerThreadId,
-                                                 PersistBarrierTicket &T);
-  CRAFTY_DRAIN_API void persistBarrierEnd(unsigned CallerThreadId,
-                                          PersistBarrierTicket &T);
 
   // PtmBackend interface.
   const char *name() const override;
@@ -346,18 +311,19 @@ private:
   CraftyRuntime(PMemPool &Pool, HtmRuntime &Htm, CraftyConfig Config,
                 bool Attach);
 
-  /// Section 5.2 maintenance: brings every thread's last committed
-  /// transaction to ts >= \p TargetTs by forcing empty commits into
-  /// delinquent threads' logs, then refreshes tsLowerBound. Called when
-  /// the MAX_LAG bound or the half-log overwrite bound is violated.
-  void runExpensiveChecks(CraftyThread &Forcer, uint64_t TargetTs);
+  /// The one Section 5.2 force protocol: brings every thread's last
+  /// committed transaction to ts >= \p TargetTs by forcing empty commits
+  /// into the logs of threads below it, retrying each force until it
+  /// commits, then refreshes tsLowerBound. Log upkeep calls it when the
+  /// MAX_LAG or half-log overwrite bound is violated; persistBarrier
+  /// calls it with UINT64_MAX, which forces every thread.
+  void forceHorizon(CraftyThread &Forcer, uint64_t TargetTs);
 
   /// Appends an empty committed transaction to \p Victim's log from
   /// \p Forcer's hardware-transaction context. Returns true on success.
   /// The forced tag's CLWB drains at the forcer's next commit fence.
   CRAFTY_TX_BODY CRAFTY_DRAIN_DEFERRED bool
-  forceEmptyCommit(CraftyThread &Forcer, CraftyThread &Victim,
-                   uint64_t *ForcedHeadOut = nullptr);
+  forceEmptyCommit(CraftyThread &Forcer, CraftyThread &Victim);
 
   PMemPool &Pool;
   HtmRuntime &Htm;

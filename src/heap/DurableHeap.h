@@ -169,7 +169,7 @@ public:
   /// Tells the heap a persist barrier has completed: every free committed
   /// before the barrier is now durable (recovery can no longer roll it
   /// back), so its pages and WAL slot become allocatable again. KvShard
-  /// calls this from persistAck / persistAckEnd. Clearing is conservative
+  /// calls this from persistAck. Clearing is conservative
   /// in the racy direction -- a free whose transaction straddles the
   /// barrier merely stays deferred until the next one.
   void barrierReached();

@@ -855,23 +855,19 @@ void KvServer::commitCycle(Worker &Wk) {
       break;
     // 1. Execute this round's staged batches (one runCycle per shard).
     executeStaged(Wk);
-    // 2. Group commit, two-phase: begin the barrier on every shard this
-    //    round wrote (cache write-back + forced commits), then end them
-    //    all -- the per-shard fixed drain latencies overlap in the end
-    //    pass instead of serializing.
+    // 2. Group commit: one persist barrier on every shard this round
+    //    wrote.
     uint64_t T0 = monotonicNanos();
-    std::vector<std::pair<unsigned, PersistBarrierTicket>> Open;
+    uint64_t Barriers = 0;
     for (unsigned S = 0; S != (unsigned)Wk.Touched.size(); ++S) {
       if (!Wk.Touched[S])
         continue;
       Wk.Touched[S] = 0;
-      Open.emplace_back(S, PersistBarrierTicket{});
-      Store.shard(S).persistAckBegin(Wk.Idx, Open.back().second);
+      Store.shard(S).persistAck(Wk.Idx);
+      ++Barriers;
     }
-    for (auto &[S, T] : Open)
-      Store.shard(S).persistAckEnd(Wk.Idx, T);
-    if (!Open.empty()) {
-      Wk.S.Barriers += Open.size();
+    if (Barriers) {
+      Wk.S.Barriers += Barriers;
       Wk.S.BarrierNs += monotonicNanos() - T0;
     }
     // 3. Report scatter-gather pieces done -- only now that their writes

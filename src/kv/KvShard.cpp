@@ -499,20 +499,6 @@ void KvShard::persistAck(unsigned Tid) {
     Heap->barrierReached();
 }
 
-void KvShard::persistAckBegin(unsigned Tid, PersistBarrierTicket &T) {
-  if (CraftyRuntime *Rt = crafty())
-    Rt->persistBarrierBegin(Tid, T);
-  else
-    T.Pending = false;
-}
-
-void KvShard::persistAckEnd(unsigned Tid, PersistBarrierTicket &T) {
-  if (CraftyRuntime *Rt = crafty())
-    Rt->persistBarrierEnd(Tid, T);
-  if (Heap)
-    Heap->barrierReached();
-}
-
 void KvShard::simulateCrash() { Pool->crash(); }
 
 void KvShard::recoverInPlace() {

@@ -57,7 +57,6 @@ namespace crafty {
 
 class CraftyRuntime;
 class HtmRuntime;
-struct PersistBarrierTicket;
 
 namespace kv {
 
@@ -136,16 +135,6 @@ public:
   /// commit already persists their redo log (their ack-durability story),
   /// and for Non-durable, which makes no durability promise at all.
   void persistAck(unsigned Tid);
-
-  /// Two-phase persistAck for a worker committing several shards in one
-  /// cycle: persistAckBegin on every touched shard first (cache
-  /// write-backs and forced commits), then persistAckEnd on every shard
-  /// (the fixed drain latencies overlap instead of serializing). The
-  /// pair is equivalent to persistAck; non-Crafty backends no-op.
-  CRAFTY_DRAIN_DEFERRED void persistAckBegin(unsigned Tid,
-                                             PersistBarrierTicket &T);
-  CRAFTY_DRAIN_API void persistAckEnd(unsigned Tid,
-                                      PersistBarrierTicket &T);
 
   /// Simulated power failure (Tracked pools; quiesce all workers first).
   void simulateCrash();

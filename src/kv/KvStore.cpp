@@ -124,12 +124,6 @@ void KvStore::persistAck(unsigned Tid) {
     S->persistAck(Tid);
 }
 
-void KvStore::persistAll() {
-  for (auto &S : Shards)
-    for (unsigned T = 0; T != Cfg.ThreadsPerShard; ++T)
-      S->persistAck(T);
-}
-
 void KvStore::simulateCrash() {
   for (auto &S : Shards)
     S->simulateCrash();

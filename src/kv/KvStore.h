@@ -74,11 +74,10 @@ public:
   void msetBatch(unsigned Tid, std::vector<KvBatchItem> &Items,
                  bool Durable = true);
 
-  /// Persist barrier on every shard's worker \p Tid (call before
-  /// acknowledging writes performed with that Tid).
+  /// Persist barrier on every shard, issued as worker \p Tid. Each
+  /// shard's barrier covers every transaction committed on it so far,
+  /// by any worker.
   void persistAck(unsigned Tid);
-  /// Persist barrier on all shards for workers [0, ThreadsPerShard).
-  void persistAll();
 
   /// Simulated power failure on every shard (quiesce first).
   void simulateCrash();

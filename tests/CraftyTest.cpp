@@ -638,6 +638,53 @@ TEST(CraftyPhases, PersistBarrierUnderConcurrency) {
   EXPECT_EQ(Data[8], 300u);
 }
 
+static void barrierFromHelperThread(void *Ctx, unsigned ThreadId) {
+  auto *H = static_cast<HookState *>(Ctx);
+  if (!H->Armed || ThreadId != 1)
+    return;
+  H->Armed = false;
+  // A barrier in thread 1's Log->Redo window forces thread 1 before its
+  // Redo commit. It runs on its own OS thread: PersistCheck keeps one
+  // scope per OS thread, and thread 1's transaction scope is open here.
+  std::thread([H] { H->S->Rt.persistBarrier(2); }).join();
+}
+
+TEST(CraftyCrash, BarrierCoversCommitAfterEarlierBarrierForcedIt) {
+  // Thread 1 commits after a barrier forced its log. The next barrier
+  // must force every thread again: the horizon the earlier barrier left
+  // is below thread 1's commit, even though no log head has moved since.
+  CraftyConfig C = config(3);
+  HookState Hook;
+  C.TestAfterLogCommit = barrierFromHelperThread;
+  C.TestHookCtx = &Hook;
+  TestSystem S(C);
+  auto *X = static_cast<uint64_t *>(S.Rt.carve(64));
+  Hook = HookState{&S, nullptr, 0, true};
+  S.Rt.run(1, [&](TxnContext &Tx) { Tx.store(X, 42); });
+  ASSERT_FALSE(Hook.Armed) << "the hook must have run its barrier";
+  S.Rt.persistBarrier(2);
+  S.Pool.crash();
+  RecoveryObserver::recoverPool(S.Pool);
+  EXPECT_EQ(*X, 42u);
+}
+
+TEST(CraftyCrash, BarrierForcesEveryThreadThroughSpuriousAborts) {
+  // At these rates a force commits about once in 2,000-10,000 tries. The
+  // barrier must keep forcing thread 1 until it lands; skipping it would
+  // leave thread 1's transaction above the recovery horizon.
+  for (uint32_t Rate : {800000u, 850000u, 900000u}) {
+    HtmConfig HC;
+    HC.SpuriousAbortPerMillion = Rate;
+    TestSystem S(config(2), HC);
+    auto *X = static_cast<uint64_t *>(S.Rt.carve(64));
+    S.Rt.run(1, [&](TxnContext &Tx) { Tx.store(X, 42); });
+    S.Rt.persistBarrier(0);
+    S.Pool.crash();
+    RecoveryObserver::recoverPool(S.Pool);
+    EXPECT_EQ(*X, 42u) << "spurious abort rate " << Rate << " per million";
+  }
+}
+
 } // namespace
 
 namespace {

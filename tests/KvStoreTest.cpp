@@ -393,7 +393,7 @@ TEST(KvCrash, FileBackedStoreSurvivesReopen) {
     EXPECT_FALSE(Store.recoveredOnOpen());
     for (uint64_t K = 0; K != 40; ++K)
       EXPECT_EQ(Store.set(0, K, valueFor(K, 1)), KvStatus::Ok);
-    Store.persistAll();
+    Store.persistAck(0);
   }
   {
     // Second generation: attaches to the images, replays, serves, and
@@ -407,7 +407,7 @@ TEST(KvCrash, FileBackedStoreSurvivesReopen) {
     }
     for (uint64_t K = 40; K != 60; ++K)
       EXPECT_EQ(Store.set(0, K, valueFor(K, 2)), KvStatus::Ok);
-    Store.persistAll();
+    Store.persistAck(0);
   }
   {
     KvStore Store(KC);
@@ -577,7 +577,7 @@ TEST(KvHeapCrash, FileBackedHeapValuesSurviveReopen) {
       ASSERT_EQ(Store.set(0, K, bigValueFor(K, 1, 1000 * (K + 1))),
                 KvStatus::Ok);
     ASSERT_EQ(Store.set(0, 99, bigValueFor(99, 1, 65536)), KvStatus::Ok);
-    Store.persistAll();
+    Store.persistAck(0);
   }
   {
     KvStore Store(KC);
@@ -596,7 +596,7 @@ TEST(KvHeapCrash, FileBackedHeapValuesSurviveReopen) {
       ASSERT_EQ(Store.set(0, K, bigValueFor(K, 2, 7777)), KvStatus::Ok);
     for (uint64_t K = 12; K != 16; ++K)
       ASSERT_EQ(Store.del(0, K), KvStatus::Ok);
-    Store.persistAll();
+    Store.persistAck(0);
   }
   {
     KvStore Store(KC);
