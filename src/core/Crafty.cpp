@@ -275,21 +275,23 @@ void CraftyThread::ctxStore(uint64_t *Addr, uint64_t Val) {
     ++DynWrites;
     // Coalesce repeated stores to one word into a single undo entry (the
     // first old value is all recovery's undo replay needs): update the
-    // redo value in place and skip the load + two streaming stores a
-    // fresh entry would cost. The body's stores are exactly the
-    // transaction's buffered writes at this point, so the HTM write
-    // buffer doubles as the word -> Mirror-index map via storeTagged.
-    if (uint32_t *MirrorIdx = Tx.writtenWordTag(Addr)) {
-      Mirror[*MirrorIdx].New = Val;
-      Tx.store(Addr, Val);
+    // redo value in place and skip the two streaming stores a fresh
+    // entry would cost. The body's stores are exactly the transaction's
+    // buffered writes at this point, so the HTM write buffer doubles as
+    // the word -> Mirror-index map: storeTracked's one lookup either
+    // returns a repeat's entry or loads a first store's old value.
+    if (CRAFTY_UNLIKELY(Mirror.size() >= maxSeqEntries()) &&
+        !Tx.writtenWordTag(Addr))
+      Tx.abortExplicit(AbortUserSeqOverflow);
+    uint32_t Fresh = (uint32_t)Mirror.size();
+    uint64_t Old = 0;
+    uint32_t Idx = Tx.storeTracked(Addr, Val, Fresh, Old);
+    if (Idx != Fresh) {
+      Mirror[Idx].New = Val;
       return;
     }
-    if (Mirror.size() >= maxSeqEntries())
-      Tx.abortExplicit(AbortUserSeqOverflow);
-    uint64_t Old = Tx.load(Addr);
-    stageUndoEntry(HeadAtStart + Mirror.size(), Addr, Old);
+    stageUndoEntry(HeadAtStart + Fresh, Addr, Old);
     Mirror.push_back(MirrorEntry{Addr, Old, Val});
-    Tx.storeTagged(Addr, Val, (uint32_t)(Mirror.size() - 1));
     return;
   }
   case Phase::Validate: {
@@ -428,14 +430,23 @@ void CraftyThread::flushStagedEntries(uint64_t FromAbs, uint64_t ToAbs) {
 
 void CraftyThread::flushDataLines(const std::vector<MirrorEntry> &Entries,
                                   void *ExtraWord) {
+  // Consecutive entries often share a line (the words of one value or
+  // object), so pass one address per run of same-line entries; the sort
+  // then makes the remaining same-line addresses adjacent, and the pool's
+  // pending-line filter coalesces each line's repeats into one scheduled
+  // write-back regardless of filter collisions.
   FlushLineScratch.clear();
+  uintptr_t PrevLine = ~(uintptr_t)0;
+  auto Add = [&](const void *Addr) {
+    uintptr_t Line = lineOf(Addr);
+    if (Line != PrevLine)
+      FlushLineScratch.push_back(Addr);
+    PrevLine = Line;
+  };
   for (const MirrorEntry &E : Entries)
-    FlushLineScratch.push_back(E.Addr);
+    Add(E.Addr);
   if (ExtraWord)
-    FlushLineScratch.push_back(ExtraWord);
-  // Sort by line index so same-line addresses are adjacent: the pool's
-  // pending-line filter then coalesces each line's repeats into one
-  // scheduled write-back regardless of filter collisions.
+    Add(ExtraWord);
   std::sort(FlushLineScratch.begin(), FlushLineScratch.end(),
             [](const void *A, const void *B) { return lineOf(A) < lineOf(B); });
   Rt.Pool.clwbLines(ThreadId, FlushLineScratch.data(),
@@ -891,15 +902,15 @@ void CraftyThread::chunkedStore(uint64_t *Addr, uint64_t Val) {
   // are already persisted and their writes applied, so a word revisited
   // across chunks needs a fresh entry (whose old value is the prior
   // chunk's result -- exactly what stepwise rollback must restore).
-  if (uint32_t *ChunkIdx = Tx.writtenWordTag(Addr)) {
-    ChunkMirror[*ChunkIdx].New = Val;
-    Tx.store(Addr, Val);
+  uint32_t Fresh = (uint32_t)ChunkMirror.size();
+  uint64_t Old = 0;
+  uint32_t Idx = Tx.storeTracked(Addr, Val, Fresh, Old);
+  if (Idx != Fresh) {
+    ChunkMirror[Idx].New = Val;
     return;
   }
-  uint64_t Old = Tx.load(Addr);
-  stageUndoEntry(ChunkStartAbs + ChunkMirror.size(), Addr, Old);
+  stageUndoEntry(ChunkStartAbs + Fresh, Addr, Old);
   ChunkMirror.push_back(MirrorEntry{Addr, Old, Val});
-  Tx.storeTagged(Addr, Val, (uint32_t)(ChunkMirror.size() - 1));
   if (ChunkMirror.size() >= ChunkK)
     closeChunk();
 }

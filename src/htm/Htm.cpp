@@ -163,37 +163,27 @@ bool HtmRuntime::nonTxCas(uint64_t *Addr, uint64_t Expected,
 HtmTx::HtmTx(HtmRuntime &Runtime, uint32_t ThreadId, uint64_t RngSeed)
     : Runtime(Runtime), ThreadId(ThreadId),
       SpuriousRng(RngSeed * 0x9e3779b97f4a7c15ull + ThreadId + 1) {
-  const HtmConfig &C = Runtime.config();
-  size_t MaxWords = C.MaxWriteSetLines * (CacheLineBytes / 8);
-  size_t BufSize = std::max<size_t>(64, nextPow2(MaxWords * 2));
-  WriteBuf.resize(BufSize);
-  WriteBufMask = BufSize - 1;
-  WriteOrder.reserve(MaxWords + 1);
-  StreamWrites.reserve(MaxWords + 1);
-  size_t LineSlots = std::max<size_t>(64, nextPow2(C.MaxWriteSetLines * 2));
+  size_t LineSlots =
+      std::max<size_t>(64, nextPow2(Runtime.config().MaxWriteSetLines * 2));
   WriteLines.resize(LineSlots);
   WriteLinesMask = LineSlots - 1;
-  size_t ReadSlots = std::max<size_t>(64, nextPow2(C.MaxReadSetLines * 2));
-  ReadSet.resize(ReadSlots);
-  ReadSetMask = ReadSlots - 1;
-  ReadOrder.reserve(C.MaxReadSetLines);
-  LockedStripes.reserve(MaxWords);
-  PreLockVersions.reserve(MaxWords);
 }
 
 HtmTx::~HtmTx() = default;
 
 void HtmTx::begin() {
   assert(!Active && "nested hardware transactions are not supported");
-  ++Epoch;
   Active = true;
   SnapshotVersion = Runtime.Clock.load(std::memory_order_acquire);
-  WriteOrder.clear();
+  Writes.clear();
+  WriteIndex.reset();
   WriteFilter = 0;
   StreamWrites.clear();
   LastWrittenLine = ~(uintptr_t)0;
+  ++LineEpoch;
   WriteLineCount = 0;
   ReadOrder.clear();
+  ReadIndex.reset();
   LockedStripes.clear();
   PreLockVersions.clear();
   const AccessHooks &AHooks = Runtime.accessHooks();
@@ -249,11 +239,9 @@ bool HtmTx::tryExtendSnapshot() {
   if (NewSnap == SnapshotVersion)
     return false;
   Stats.ValidatedReadSlots += ReadOrder.size();
-  for (uint32_t Idx : ReadOrder) {
-    ReadSlot &Slot = ReadSet[Idx];
-    if (Slot.Stripe->load(std::memory_order_acquire) != Slot.Version)
+  for (const ReadEntry &R : ReadOrder)
+    if (R.Stripe->load(std::memory_order_acquire) != R.Version)
       return false;
-  }
   SnapshotVersion = NewSnap;
   ++Stats.SnapshotExtensions;
   return true;
@@ -283,16 +271,15 @@ uint64_t HtmTx::preLockVersionOf(std::atomic<uint64_t> *Stripe) {
 }
 
 bool HtmTx::validateReadSet(uint64_t OwnedTag) {
-  // Walk only the occupied slots (dense index), not the whole table: the
-  // table is sized for the capacity limit (16K slots by default), while a
-  // typical transaction reads a handful of stripes.
+  // The read set is a dense vector of the stripes actually read, so
+  // validation costs one entry per distinct stripe, whatever the
+  // MaxReadSetLines capacity.
   Stats.ValidatedReadSlots += ReadOrder.size();
-  for (uint32_t Idx : ReadOrder) {
-    ReadSlot &Slot = ReadSet[Idx];
-    uint64_t Cur = Slot.Stripe->load(std::memory_order_acquire);
+  for (const ReadEntry &R : ReadOrder) {
+    uint64_t Cur = R.Stripe->load(std::memory_order_acquire);
     if (Cur == OwnedTag) {
       // We hold this stripe's lock; judge by its pre-lock version.
-      Cur = preLockVersionOf(Slot.Stripe);
+      Cur = preLockVersionOf(R.Stripe);
     }
     if (Cur & 1)
       return false; // Locked by a concurrent committer.
@@ -325,8 +312,8 @@ uint64_t HtmTx::commit() {
   // entry, fields of one object), so drop consecutive duplicates before
   // deduplicating fully.
   std::atomic<uint64_t> *PrevStripe = nullptr;
-  for (uint32_t Idx : WriteOrder) {
-    std::atomic<uint64_t> *Stripe = &Runtime.stripeFor(WriteBuf[Idx].Addr);
+  for (const WriteEntry &W : Writes) {
+    std::atomic<uint64_t> *Stripe = &Runtime.stripeFor(W.Addr);
     if (Stripe != PrevStripe)
       LockedStripes.push_back(Stripe);
     PrevStripe = Stripe;
@@ -384,15 +371,13 @@ uint64_t HtmTx::commit() {
   if (Hooks.OnCommitFence)
     Hooks.OnCommitFence(Hooks.Ctx, ThreadId);
 
-  for (uint32_t Idx : WriteOrder) {
-    WriteSlot &Slot = WriteBuf[Idx];
-    uint64_t Val = Slot.IsCommitVersion
-                       ? (CommitVersion << Slot.Shift) | Slot.OrMask
-                       : Slot.Val;
-    uint64_t Old = __atomic_load_n(Slot.Addr, __ATOMIC_RELAXED);
-    __atomic_store_n(Slot.Addr, Val, __ATOMIC_RELEASE);
+  for (const WriteEntry &W : Writes) {
+    uint64_t Val =
+        W.IsCommitVersion ? (CommitVersion << W.Shift) | W.OrMask : W.Val;
+    uint64_t Old = __atomic_load_n(W.Addr, __ATOMIC_RELAXED);
+    __atomic_store_n(W.Addr, Val, __ATOMIC_RELEASE);
     if (Hooks.OnStore)
-      Hooks.OnStore(Hooks.Ctx, Slot.Addr, Old, Val);
+      Hooks.OnStore(Hooks.Ctx, W.Addr, Old, Val);
   }
   for (const auto &[Addr, Val] : StreamWrites) {
     uint64_t Old = __atomic_load_n(Addr, __ATOMIC_RELAXED);

@@ -101,9 +101,10 @@ struct HtmStats {
   uint64_t AbortCapacity = 0;
   uint64_t AbortExplicit = 0;
   uint64_t AbortZero = 0;
-  /// Read-set entries examined by commit-time validation (one per distinct
-  /// stripe read, per validating commit). With the dense occupied-slot
-  /// index this grows with reads performed, not with read-set table size.
+  /// Read-set entries examined by commit-time validation and snapshot
+  /// extension (one per distinct stripe read, per validation): the read
+  /// set is a dense vector, so this grows with reads performed, never
+  /// with the MaxReadSetLines capacity.
   uint64_t ValidatedReadSlots = 0;
   /// Distinct words written by committed transactions, total and the
   /// single-transaction maximum -- the dynamic counterpart of crafty-lint's
@@ -377,26 +378,36 @@ public:
   /// Transactional store of an 8-byte word; buffered until commit.
   CRAFTY_TX_SAFE CRAFTY_TX_STORE_API void store(uint64_t *Addr, uint64_t Val);
 
-  /// Like store(), additionally associating the caller tag \p Tag with the
-  /// buffered word. The tag is retrievable through writtenWordTag() until
-  /// commit or abort; a later untagged store() to the word preserves it.
-  /// Undo-log coalescing uses this to map a written word back to its undo
-  /// entry without a second hash table.
-  CRAFTY_TX_SAFE CRAFTY_TX_STORE_API void storeTagged(uint64_t *Addr,
-                                                      uint64_t Val,
-                                                      uint32_t Tag);
+  /// Transactional store that tells a word's first store in this
+  /// transaction from a repeat with one write-buffer lookup. A repeat
+  /// updates the buffered value and returns the tag the word's first
+  /// store gave it (\p Old is left alone). A first store sets \p Old to
+  /// the word's committed value -- read exactly as load() reads it, with
+  /// the same conflict checks, snapshot extension and hooks -- buffers
+  /// \p Val tagged \p Tag and returns \p Tag; callers therefore pass a
+  /// tag no buffered word carries. The tag stays retrievable through
+  /// writtenWordTag() until commit or abort, and a later untagged store()
+  /// to the word preserves it. Undo logging uses this to stage one entry
+  /// per distinct word and to map a repeat back to that entry. Spurious
+  /// aborts are drawn as for the store() (repeat) or the load() and
+  /// store() (first store) it replaces.
+  CRAFTY_TX_SAFE CRAFTY_TX_STORE_API uint32_t storeTracked(uint64_t *Addr,
+                                                           uint64_t Val,
+                                                           uint32_t Tag,
+                                                           uint64_t &Old);
 
   /// If the current transaction has a buffered write of \p Addr (via
-  /// store, storeTagged, or storeCommitVersion), returns a pointer to the
-  /// word's caller tag; otherwise null. The pointer is valid until the
-  /// next store into the buffer. storeStream words are never found (they
-  /// are not read-your-write).
+  /// store, storeTracked, or storeCommitVersion), returns a pointer to the
+  /// word's caller tag (~0u for a word no storeTracked call tagged);
+  /// otherwise null. The pointer is valid until the next store into the
+  /// buffer. storeStream words are never found (they are not
+  /// read-your-write).
   CRAFTY_TX_SAFE uint32_t *writtenWordTag(uint64_t *Addr) {
     uint64_t Hash = addrHash(Addr);
     if (CRAFTY_LIKELY((WriteFilter & filterBit(Hash)) == 0))
       return nullptr;
-    WriteSlot *Slot = findWriteSlot(Addr, Hash, /*Insert=*/false);
-    return Slot ? &Slot->UserTag : nullptr;
+    WriteEntry *W = findWrite(Addr, Hash);
+    return W ? &W->UserTag : nullptr;
   }
 
   /// Streaming transactional store for write-once words that the
@@ -440,30 +451,99 @@ public:
 
   /// Number of distinct words written by the current transaction.
   size_t writeSetWords() const {
-    return WriteOrder.size() + StreamWrites.size();
+    return Writes.size() + StreamWrites.size();
   }
 
 private:
-  struct WriteSlot {
-    uint64_t *Addr = nullptr;
-    uint64_t Val = 0;
-    uint64_t Epoch = 0;
-    uint64_t OrMask = 0;
-    uint32_t UserTag = 0;
-    uint8_t Shift = 0;
-    bool IsCommitVersion = false;
+  /// A buffered write: a plain value, or (IsCommitVersion) the commit
+  /// version encoded as (V << Shift) | OrMask at write-back.
+  struct WriteEntry {
+    uint64_t *Addr;
+    uint64_t Val;
+    uint64_t OrMask;
+    uint32_t UserTag;
+    uint8_t Shift;
+    bool IsCommitVersion;
   };
-  struct ReadSlot {
-    std::atomic<uint64_t> *Stripe = nullptr;
-    uint64_t Version = 0;
-    uint64_t Epoch = 0;
+  /// A read stripe and the version the transaction first observed.
+  struct ReadEntry {
+    std::atomic<uint64_t> *Stripe;
+    uint64_t Version;
   };
   struct LineSlot {
     uintptr_t Line = 0;
     uint64_t Epoch = 0;
   };
 
-  /// Fibonacci hash shared by the write buffer and the write filter.
+  /// Open-addressed index over one of the dense entry vectors below. A
+  /// slot is {epoch, entry number} and is live iff its epoch is current,
+  /// so reset() empties the index in O(1); epochs are 64-bit and never
+  /// wrap. The active mask doubles whenever the index passes half full
+  /// and never shrinks, so the index is sized by the largest transaction
+  /// the context has run, not by the capacity limit.
+  class EntryIndex {
+  public:
+    struct Slot {
+      uint64_t Epoch = 0;
+      uint32_t Entry = 0;
+    };
+
+    EntryIndex() : Slots(InitialSlots), Mask(InitialSlots - 1) {}
+
+    void reset() { ++Epoch; }
+    bool live(const Slot &S) const { return S.Epoch == Epoch; }
+
+    /// The live slot whose entry satisfies \p IsKey, or else the empty
+    /// slot where that key belongs.
+    template <typename IsKeyFn> Slot &probe(uint64_t Hash, IsKeyFn IsKey) {
+      for (size_t Idx = Hash >> Shift;; Idx = (Idx + 1) & Mask) {
+        Slot &S = Slots[Idx];
+        if (S.Epoch != Epoch || IsKey(S.Entry))
+          return S;
+      }
+    }
+
+    /// Points the empty slot \p S (from probe) at entry \p Entry, the
+    /// newest of Entry + 1 live entries. Past half full, doubles the mask
+    /// and re-inserts every live entry (hashed by \p HashOf) under a
+    /// fresh epoch.
+    template <typename HashOfFn>
+    void claim(Slot &S, uint32_t Entry, HashOfFn HashOf) {
+      S.Epoch = Epoch;
+      S.Entry = Entry;
+      size_t Live = (size_t)Entry + 1;
+      if (CRAFTY_UNLIKELY(Live * 2 > Mask + 1))
+        grow(Live, HashOf);
+    }
+
+  private:
+    static constexpr unsigned InitialBits = 6;
+    static constexpr size_t InitialSlots = size_t(1) << InitialBits;
+
+    template <typename HashOfFn>
+    CRAFTY_NOINLINE void grow(size_t Live, HashOfFn HashOf) {
+      Mask = Mask * 2 + 1;
+      --Shift;
+      if (Slots.size() <= Mask)
+        Slots.resize(Mask + 1);
+      ++Epoch;
+      for (uint32_t I = 0; I != Live; ++I) {
+        size_t Idx = HashOf(I) >> Shift;
+        while (Slots[Idx].Epoch == Epoch)
+          Idx = (Idx + 1) & Mask;
+        Slots[Idx] = Slot{Epoch, I};
+      }
+    }
+
+    std::vector<Slot> Slots;
+    size_t Mask;
+    /// A slot index is the hash's top bits: strided addresses (one word
+    /// per line, say) spread evenly there, but cluster in middle bits.
+    unsigned Shift = 64 - InitialBits;
+    uint64_t Epoch = 1;
+  };
+
+  /// Fibonacci hash shared by the indexes and the write filter.
   static uint64_t addrHash(const void *Addr) {
     return (uint64_t)reinterpret_cast<uintptr_t>(Addr) *
            0x9e3779b97f4a7c15ull;
@@ -473,8 +553,29 @@ private:
 
   [[noreturn]] void abortTx(AbortCode Code, uint32_t UserCode = 0);
   void maybeInjectSpuriousAbort();
-  WriteSlot *findWriteSlot(uint64_t *Addr, uint64_t Hash, bool Insert);
+  EntryIndex::Slot &probeWrite(const uint64_t *Addr, uint64_t Hash) {
+    return WriteIndex.probe(
+        Hash, [&](uint32_t E) { return Writes[E].Addr == Addr; });
+  }
+  WriteEntry *findWrite(const uint64_t *Addr, uint64_t Hash) {
+    EntryIndex::Slot &S = probeWrite(Addr, Hash);
+    return WriteIndex.live(S) ? &Writes[S.Entry] : nullptr;
+  }
+  /// Buffers a new write of \p Addr in the empty slot \p S (from
+  /// probeWrite); aborts on word-capacity overflow.
+  WriteEntry &insertWrite(EntryIndex::Slot &S, uint64_t *Addr, uint64_t Hash,
+                          uint32_t Tag);
+  /// The buffered write of \p Addr, inserted untagged if absent.
+  WriteEntry &writeFor(uint64_t *Addr) {
+    uint64_t Hash = addrHash(Addr);
+    EntryIndex::Slot &S = probeWrite(Addr, Hash);
+    return WriteIndex.live(S) ? Writes[S.Entry]
+                              : insertWrite(S, Addr, Hash, ~0u);
+  }
+  /// load() from shared memory: stripe check, read-set record, hook.
+  uint64_t loadShared(const uint64_t *Addr);
   void noteWrittenLine(const void *Addr);
+  void notifyStore(uint64_t *Addr);
   void recordRead(std::atomic<uint64_t> *Stripe, uint64_t Version);
   bool validateReadSet(uint64_t OwnedTag);
   /// Pre-lock version of a stripe this commit owns (binary search of the
@@ -493,39 +594,41 @@ private:
   uint32_t ThreadId;
   bool Active = false;
   uint64_t SnapshotVersion = 0;
-  uint64_t Epoch = 0;
   AbortCode LastAbort = AbortCode::None;
   uint32_t LastUserCode = 0;
   HtmStats Stats;
   Rng SpuriousRng;
 
-  // Write buffer: open-addressed, epoch-validated; WriteOrder preserves
-  // insertion order for the write-back.
-  std::vector<WriteSlot> WriteBuf;
-  std::vector<uint32_t> WriteOrder;
-  size_t WriteBufMask;
+  // The write and read sets are dense vectors in insertion order (what
+  // commit, validation and extension walk), each behind an EntryIndex
+  // (what lookups probe), so their cost follows the transaction's
+  // footprint.
+  //
+  // Buffered writes (store, storeTracked, storeCommitVersion), written
+  // back in insertion order.
+  std::vector<WriteEntry> Writes;
+  EntryIndex WriteIndex;
   // 64-bit summary of buffered-write addresses (bit filterBit(addrHash)).
   // Zero means no buffered writes; a clear bit proves the address was not
-  // written by store/storeCommitVersion, so load skips the write-buffer
-  // probe. No false negatives: every buffered write sets its bit.
-  // storeStream words are deliberately absent -- reading them back is
-  // unsupported, so loads need not find them.
+  // written by store/storeTracked/storeCommitVersion, so load skips the
+  // write-index probe. No false negatives: every buffered write sets its
+  // bit. storeStream words are deliberately absent -- reading them back
+  // is unsupported, so loads need not find them.
   uint64_t WriteFilter = 0;
   // Append-only streaming writes (storeStream), written back after the
   // buffered writes.
   std::vector<std::pair<uint64_t *, uint64_t>> StreamWrites;
   // One-entry cache for written-line capacity accounting.
   uintptr_t LastWrittenLine = ~(uintptr_t)0;
-  // Distinct written lines (capacity accounting).
+  // Distinct written lines (capacity accounting): open-addressed,
+  // epoch-validated, 2 x MaxWriteSetLines slots (16 KiB by default).
   std::vector<LineSlot> WriteLines;
   size_t WriteLinesMask;
   size_t WriteLineCount = 0;
-  // Read set: open-addressed over stripe pointers. ReadOrder is the dense
-  // index of occupied slots, so commit-time validation is O(reads
-  // performed) instead of a scan of the whole table.
-  std::vector<ReadSlot> ReadSet;
-  size_t ReadSetMask;
-  std::vector<uint32_t> ReadOrder;
+  uint64_t LineEpoch = 0;
+  // Read set: one entry per distinct stripe read.
+  std::vector<ReadEntry> ReadOrder;
+  EntryIndex ReadIndex;
   // Commit-time scratch: locked stripes and their pre-lock versions.
   std::vector<std::atomic<uint64_t> *> LockedStripes;
   std::vector<uint64_t> PreLockVersions;
@@ -549,32 +652,17 @@ inline void HtmTx::maybeInjectSpuriousAbort() {
     abortTx(AbortCode::Zero);
 }
 
-inline HtmTx::WriteSlot *HtmTx::findWriteSlot(uint64_t *Addr, uint64_t Hash,
-                                              bool Insert) {
-  size_t Idx = (Hash >> 32) & WriteBufMask;
-  for (;;) {
-    WriteSlot &Slot = WriteBuf[Idx];
-    if (Slot.Epoch == Epoch) {
-      if (Slot.Addr == Addr)
-        return &Slot;
-      Idx = (Idx + 1) & WriteBufMask;
-      continue;
-    }
-    if (!Insert)
-      return nullptr;
-    // Empty slot: claim it. The buffer is sized 2x the word capacity and
-    // the capacity check below keeps the load factor bounded.
-    if (writeSetWords() >=
-        Runtime.config().MaxWriteSetLines * (CacheLineBytes / 8))
-      abortTx(AbortCode::Capacity);
-    Slot.Addr = Addr;
-    Slot.Epoch = Epoch;
-    Slot.Val = 0;
-    Slot.UserTag = ~0u;
-    Slot.IsCommitVersion = false;
-    WriteOrder.push_back((uint32_t)Idx);
-    return &Slot;
-  }
+inline HtmTx::WriteEntry &HtmTx::insertWrite(EntryIndex::Slot &S,
+                                             uint64_t *Addr, uint64_t Hash,
+                                             uint32_t Tag) {
+  if (writeSetWords() >=
+      Runtime.config().MaxWriteSetLines * (CacheLineBytes / 8))
+    abortTx(AbortCode::Capacity);
+  WriteFilter |= filterBit(Hash);
+  Writes.push_back(WriteEntry{Addr, 0, 0, Tag, 0, false});
+  WriteIndex.claim(S, (uint32_t)(Writes.size() - 1),
+                   [this](uint32_t E) { return addrHash(Writes[E].Addr); });
+  return Writes.back();
 }
 
 inline void HtmTx::noteWrittenLine(const void *Addr) {
@@ -586,7 +674,7 @@ inline void HtmTx::noteWrittenLine(const void *Addr) {
   size_t Idx = (H >> 32) & WriteLinesMask;
   for (;;) {
     LineSlot &Slot = WriteLines[Idx];
-    if (Slot.Epoch == Epoch) {
+    if (Slot.Epoch == LineEpoch) {
       if (Slot.Line == Line)
         return;
       Idx = (Idx + 1) & WriteLinesMask;
@@ -595,46 +683,33 @@ inline void HtmTx::noteWrittenLine(const void *Addr) {
     if (WriteLineCount >= Runtime.config().MaxWriteSetLines)
       abortTx(AbortCode::Capacity);
     Slot.Line = Line;
-    Slot.Epoch = Epoch;
+    Slot.Epoch = LineEpoch;
     ++WriteLineCount;
     return;
   }
 }
 
-inline void HtmTx::recordRead(std::atomic<uint64_t> *Stripe,
-                              uint64_t Version) {
-  uint64_t H = addrHash(Stripe);
-  size_t Idx = (H >> 32) & ReadSetMask;
-  for (;;) {
-    ReadSlot &Slot = ReadSet[Idx];
-    if (Slot.Epoch == Epoch) {
-      if (Slot.Stripe == Stripe)
-        return; // Re-read of a known stripe; the first version suffices.
-      Idx = (Idx + 1) & ReadSetMask;
-      continue;
-    }
-    if (ReadOrder.size() >= Runtime.config().MaxReadSetLines)
-      abortTx(AbortCode::Capacity);
-    Slot.Stripe = Stripe;
-    Slot.Version = Version;
-    Slot.Epoch = Epoch;
-    ReadOrder.push_back((uint32_t)Idx);
-    return;
-  }
+inline void HtmTx::notifyStore(uint64_t *Addr) {
+  const AccessHooks &AHooks = Runtime.accessHooks();
+  if (CRAFTY_UNLIKELY(AHooks.OnTxStore != nullptr))
+    AHooks.OnTxStore(AHooks.Ctx, ThreadId, Addr);
 }
 
-inline uint64_t HtmTx::load(const uint64_t *Addr) {
-  assert(Active && "transactional load outside a transaction");
-  maybeInjectSpuriousAbort();
-  uint64_t Hash = addrHash(Addr);
-  if (CRAFTY_UNLIKELY((WriteFilter & filterBit(Hash)) != 0)) {
-    if (WriteSlot *Slot =
-            findWriteSlot(const_cast<uint64_t *>(Addr), Hash, false)) {
-      // A commit-version slot's value is unknown until commit; the paper's
-      // algorithms never read those words back within the same transaction.
-      return Slot->IsCommitVersion ? 0 : Slot->Val;
-    }
-  }
+inline void HtmTx::recordRead(std::atomic<uint64_t> *Stripe,
+                              uint64_t Version) {
+  EntryIndex::Slot &S = ReadIndex.probe(addrHash(Stripe), [&](uint32_t E) {
+    return ReadOrder[E].Stripe == Stripe;
+  });
+  if (ReadIndex.live(S))
+    return; // Re-read of a known stripe; the first version suffices.
+  if (ReadOrder.size() >= Runtime.config().MaxReadSetLines)
+    abortTx(AbortCode::Capacity);
+  ReadOrder.push_back(ReadEntry{Stripe, Version});
+  ReadIndex.claim(S, (uint32_t)(ReadOrder.size() - 1),
+                  [this](uint32_t E) { return addrHash(ReadOrder[E].Stripe); });
+}
+
+inline uint64_t HtmTx::loadShared(const uint64_t *Addr) {
   std::atomic<uint64_t> &Stripe = Runtime.stripeFor(Addr);
   uint64_t V1 = Stripe.load(std::memory_order_acquire);
   if (CRAFTY_UNLIKELY((V1 & 1) || (V1 >> 1) > SnapshotVersion))
@@ -651,33 +726,52 @@ inline uint64_t HtmTx::load(const uint64_t *Addr) {
   return Val;
 }
 
+inline uint64_t HtmTx::load(const uint64_t *Addr) {
+  assert(Active && "transactional load outside a transaction");
+  maybeInjectSpuriousAbort();
+  uint64_t Hash = addrHash(Addr);
+  if (CRAFTY_UNLIKELY((WriteFilter & filterBit(Hash)) != 0)) {
+    if (const WriteEntry *W = findWrite(Addr, Hash)) {
+      // A commit-version word's value is unknown until commit; the paper's
+      // algorithms never read those words back within the same transaction.
+      return W->IsCommitVersion ? 0 : W->Val;
+    }
+  }
+  return loadShared(Addr);
+}
+
 inline void HtmTx::store(uint64_t *Addr, uint64_t Val) {
   assert(Active && "transactional store outside a transaction");
   maybeInjectSpuriousAbort();
-  uint64_t Hash = addrHash(Addr);
-  WriteFilter |= filterBit(Hash);
-  WriteSlot *Slot = findWriteSlot(Addr, Hash, true);
-  Slot->Val = Val;
-  Slot->IsCommitVersion = false;
+  WriteEntry &W = writeFor(Addr);
+  W.Val = Val;
+  W.IsCommitVersion = false;
   noteWrittenLine(Addr);
-  const AccessHooks &AHooks = Runtime.accessHooks();
-  if (CRAFTY_UNLIKELY(AHooks.OnTxStore != nullptr))
-    AHooks.OnTxStore(AHooks.Ctx, ThreadId, Addr);
+  notifyStore(Addr);
 }
 
-inline void HtmTx::storeTagged(uint64_t *Addr, uint64_t Val, uint32_t Tag) {
+inline uint32_t HtmTx::storeTracked(uint64_t *Addr, uint64_t Val,
+                                    uint32_t Tag, uint64_t &Old) {
   assert(Active && "transactional store outside a transaction");
   maybeInjectSpuriousAbort();
   uint64_t Hash = addrHash(Addr);
-  WriteFilter |= filterBit(Hash);
-  WriteSlot *Slot = findWriteSlot(Addr, Hash, true);
-  Slot->Val = Val;
-  Slot->IsCommitVersion = false;
-  Slot->UserTag = Tag;
+  EntryIndex::Slot &S = probeWrite(Addr, Hash);
+  if (WriteIndex.live(S)) {
+    // Repeat: the word's line was counted by its first store.
+    WriteEntry &W = Writes[S.Entry];
+    W.Val = Val;
+    W.IsCommitVersion = false;
+    notifyStore(Addr);
+    return W.UserTag;
+  }
+  // First store: the load, then the store, each with its spurious draw.
+  // The load touches only the read set, so S is still Addr's empty slot.
+  Old = loadShared(Addr);
+  maybeInjectSpuriousAbort();
+  insertWrite(S, Addr, Hash, Tag).Val = Val;
   noteWrittenLine(Addr);
-  const AccessHooks &AHooks = Runtime.accessHooks();
-  if (CRAFTY_UNLIKELY(AHooks.OnTxStore != nullptr))
-    AHooks.OnTxStore(AHooks.Ctx, ThreadId, Addr);
+  notifyStore(Addr);
+  return Tag;
 }
 
 inline void HtmTx::storeStream(uint64_t *Addr, uint64_t Val) {
@@ -687,24 +781,18 @@ inline void HtmTx::storeStream(uint64_t *Addr, uint64_t Val) {
     abortTx(AbortCode::Capacity);
   StreamWrites.emplace_back(Addr, Val);
   noteWrittenLine(Addr);
-  const AccessHooks &AHooks = Runtime.accessHooks();
-  if (CRAFTY_UNLIKELY(AHooks.OnTxStore != nullptr))
-    AHooks.OnTxStore(AHooks.Ctx, ThreadId, Addr);
+  notifyStore(Addr);
 }
 
 inline void HtmTx::storeCommitVersion(uint64_t *Addr, unsigned Shift,
                                       uint64_t OrMask) {
   assert(Active && "transactional store outside a transaction");
-  uint64_t Hash = addrHash(Addr);
-  WriteFilter |= filterBit(Hash);
-  WriteSlot *Slot = findWriteSlot(Addr, Hash, true);
-  Slot->IsCommitVersion = true;
-  Slot->Shift = (uint8_t)Shift;
-  Slot->OrMask = OrMask;
+  WriteEntry &W = writeFor(Addr);
+  W.IsCommitVersion = true;
+  W.Shift = (uint8_t)Shift;
+  W.OrMask = OrMask;
   noteWrittenLine(Addr);
-  const AccessHooks &AHooks = Runtime.accessHooks();
-  if (CRAFTY_UNLIKELY(AHooks.OnTxStore != nullptr))
-    AHooks.OnTxStore(AHooks.Ctx, ThreadId, Addr);
+  notifyStore(Addr);
 }
 
 /// Runs \p Body in a hardware transaction on \p Tx, converting the

@@ -270,9 +270,10 @@ void KvServer::closeConn(Worker &Wk, Conn &C) {
 }
 
 void KvServer::markDirty(Worker &Wk, Conn &C) {
-  if (std::find(Wk.DirtyConns.begin(), Wk.DirtyConns.end(), C.Id) ==
-      Wk.DirtyConns.end())
-    Wk.DirtyConns.push_back(C.Id);
+  if (C.Dirty)
+    return;
+  C.Dirty = true;
+  Wk.DirtyConns.push_back(C.Id);
 }
 
 KvServer::Slot &KvServer::appendSlot(Worker &Wk, Conn &C) {
@@ -900,6 +901,7 @@ void KvServer::commitCycle(Worker &Wk) {
       if (It == Wk.Conns.end())
         continue;
       Conn &C = *It->second;
+      C.Dirty = false;
       for (Slot &S : C.Pending) {
         if (S.St != Slot::Staged)
           continue;

@@ -234,6 +234,7 @@ private:
     std::deque<ParkedReq> Parked;
     bool Draining = false;  ///< Stop parsing (fatal protocol error seen).
     bool WantWrite = false; ///< EPOLLOUT currently armed.
+    bool Dirty = false;     ///< Listed in Worker::DirtyConns.
   };
 
   /// Cross-worker message. NewConn carries a just-accepted fd; SgPiece /

@@ -65,7 +65,7 @@ BackendOptions backendOptionsFor(const KvConfig &Cfg) {
 KvShard::KvShard(const KvConfig &Cfg, unsigned ShardIdx)
     : Cfg(Cfg), ShardIdx(ShardIdx), CellBytes(Cfg.cellBytes()),
       NumCells(DurableHashMap::roundUpPow2(Cfg.SlotsPerShard)),
-      Stats(Cfg.ThreadsPerShard) {
+      Stats(Cfg.ThreadsPerShard), Cycle(Cfg.ThreadsPerShard) {
   PMemConfig PC;
   PC.PoolBytes = poolBytesFor(Cfg);
   PC.Mode = Cfg.Mode;
@@ -415,9 +415,11 @@ void KvShard::getBatch(unsigned Tid, const uint64_t *Keys, size_t N,
 bool KvShard::runCycle(unsigned Tid, KvCycleOp *Ops, size_t N) {
   size_t Limit = Cfg.BatchTxnLimit ? Cfg.BatchTxnLimit : 1;
   bool Wrote = false;
-  std::string Scratch;
-  std::vector<heap::HeapStaged> Staged(Limit);
-  std::vector<uint8_t> Skip(Limit);
+  CycleScratch &CS = Cycle[Tid];
+  CS.Staged.resize(Limit);
+  CS.Skip.resize(Limit);
+  std::vector<heap::HeapStaged> &Staged = CS.Staged;
+  std::vector<uint8_t> &Skip = CS.Skip;
   for (size_t Begin = 0; Begin != N;) {
     size_t End = std::min(N, Begin + Limit);
     // Pre-stage the chunk's heap-bound SET/CAS values (see setBatch).
@@ -453,7 +455,7 @@ bool KvShard::runCycle(unsigned Tid, KvCycleOp *Ops, size_t N) {
           *Op.Status = delInTx(Tx, Op.Key);
           break;
         case KvCycleOp::Cas:
-          *Op.Status = casInTx(Tx, Op.Key, Op.Expect, Op.Val, Scratch,
+          *Op.Status = casInTx(Tx, Op.Key, Op.Expect, Op.Val, CS.Value,
                                Staged[I - Begin]);
           break;
         }

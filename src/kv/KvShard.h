@@ -257,6 +257,13 @@ private:
 
   /// Per-worker op counters (each Tid is single-threaded by contract).
   std::vector<KvOpStats> Stats;
+  /// Per-worker runCycle scratch, reused so a cycle does not allocate.
+  struct CycleScratch {
+    std::vector<heap::HeapStaged> Staged; ///< One per op of a txn chunk.
+    std::vector<uint8_t> Skip;            ///< Routing failed pre-txn.
+    std::string Value;                    ///< casInTx's current value.
+  };
+  std::vector<CycleScratch> Cycle;
 };
 
 } // namespace kv

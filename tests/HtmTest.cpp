@@ -15,6 +15,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -619,23 +620,206 @@ TEST_F(HtmTest, WrittenWordTagRoundTrip) {
   makeRuntime();
   HtmTx Tx(*Rt, 0);
   alignas(64) static uint64_t A, B, C;
-  A = B = C = 0;
+  A = 40;
+  B = C = 0;
   TxResult R = runHtmTx(Tx, [&](HtmTx &T) {
     EXPECT_EQ(T.writtenWordTag(&A), nullptr); // Never written.
-    T.storeTagged(&A, 5, 7);
-    uint32_t *TagA = T.writtenWordTag(&A);
-    ASSERT_NE(TagA, nullptr);
-    EXPECT_EQ(*TagA, 7u);
-    T.store(&A, 6); // An untagged overwrite preserves the tag.
+    // First store: the caller's tag comes back, with the committed value.
+    uint64_t Old = 0;
+    EXPECT_EQ(T.storeTracked(&A, 5, 7, Old), 7u);
+    EXPECT_EQ(Old, 40u);
+    EXPECT_EQ(T.load(&A), 5u);
+    ASSERT_NE(T.writtenWordTag(&A), nullptr);
+    EXPECT_EQ(*T.writtenWordTag(&A), 7u);
+    // Repeat: the first store's tag comes back and Old is left alone.
+    Old = 99;
+    EXPECT_EQ(T.storeTracked(&A, 6, 8, Old), 7u);
+    EXPECT_EQ(Old, 99u);
+    EXPECT_EQ(T.load(&A), 6u);
+    T.store(&A, 7); // An untagged overwrite preserves the tag.
     EXPECT_EQ(*T.writtenWordTag(&A), 7u);
     T.store(&B, 1); // Untagged stores are found, with no meaningful tag.
-    EXPECT_NE(T.writtenWordTag(&B), nullptr);
+    ASSERT_NE(T.writtenWordTag(&B), nullptr);
+    EXPECT_EQ(T.storeTracked(&B, 2, 9, Old), ~0u);
     T.storeStream(&C, 9); // Stream writes are not read-your-write.
     EXPECT_EQ(T.writtenWordTag(&C), nullptr);
   });
   ASSERT_TRUE(R.Committed);
-  EXPECT_EQ(A, 6u);
+  EXPECT_EQ(A, 7u);
+  EXPECT_EQ(B, 2u);
   EXPECT_EQ(C, 9u);
+}
+
+TEST_F(HtmTest, StoreTrackedDrawsLikeLoadThenStore) {
+  // Spurious aborts must replay identically when undo logging switches
+  // from load + store to storeTracked: a first store draws twice (its
+  // load and its store), a repeat once. Two contexts with the same seed
+  // run the same word sequence both ways and must abort at the same step.
+  Cfg.SpuriousAbortPerMillion = 100000;
+  makeRuntime();
+  alignas(64) static uint64_t W[8];
+  unsigned Aborted = 0;
+  for (uint64_t Seed = 1; Seed != 41; ++Seed) {
+    HtmTx Plain(*Rt, 0, Seed), Tracked(*Rt, 0, Seed);
+    size_t PlainSteps = 0, TrackedSteps = 0;
+    TxResult RP = runHtmTx(Plain, [&](HtmTx &T) {
+      for (size_t I = 0; I != 8; ++I) {
+        T.store(&W[I], T.load(&W[I]) + 1);
+        ++PlainSteps;
+        T.store(&W[I], I);
+        ++PlainSteps;
+      }
+    });
+    TxResult RT = runHtmTx(Tracked, [&](HtmTx &T) {
+      uint64_t Old = 0;
+      for (size_t I = 0; I != 8; ++I) {
+        T.storeTracked(&W[I], 1, (uint32_t)I, Old);
+        ++TrackedSteps;
+        T.storeTracked(&W[I], I, 99, Old);
+        ++TrackedSteps;
+      }
+    });
+    EXPECT_EQ(PlainSteps, TrackedSteps) << "seed " << Seed;
+    EXPECT_EQ(RP.Committed, RT.Committed) << "seed " << Seed;
+    EXPECT_EQ(RP.Code, RT.Code) << "seed " << Seed;
+    Aborted += !RT.Committed;
+  }
+  EXPECT_GT(Aborted, 0u) << "no spurious abort drawn; the test checks nothing";
+}
+
+TEST_F(HtmTest, WriteIndexGrowsThroughEveryDoubling) {
+  // The write index starts small and doubles as the transaction grows.
+  // Fill the whole word capacity with tagged first stores and, right
+  // after every power-of-two count (each growth point lies just past
+  // one), read every buffered word and its tag back.
+  makeRuntime();
+  HtmTx Tx(*Rt, 0);
+  constexpr size_t Words = 4096;
+  ASSERT_EQ(Cfg.MaxWriteSetLines * (CacheLineBytes / 8), Words);
+  alignas(64) static uint64_t Arena[Words];
+  std::fill(std::begin(Arena), std::end(Arena), 0);
+  size_t Checks = 0, Mismatches = 0;
+  TxResult R = runHtmTx(Tx, [&](HtmTx &T) {
+    for (size_t N = 1; N <= Words; ++N) {
+      uint64_t Old = 1;
+      T.storeTracked(&Arena[N - 1], N, (uint32_t)(N - 1), Old);
+      Mismatches += Old != 0;
+      if (N < 2 || ((N - 1) & (N - 2)) != 0)
+        continue;
+      ++Checks;
+      for (size_t I = 0; I != N; ++I) {
+        uint32_t *Tag = T.writtenWordTag(&Arena[I]);
+        Mismatches += T.load(&Arena[I]) != I + 1 || !Tag || *Tag != I;
+      }
+    }
+    EXPECT_EQ(T.writeSetWords(), Words);
+  });
+  ASSERT_TRUE(R.Committed);
+  EXPECT_EQ(Checks, 12u); // N = 2, 3, 5, ..., 2049.
+  EXPECT_EQ(Mismatches, 0u);
+  for (size_t I = 0; I != Words; ++I)
+    ASSERT_EQ(Arena[I], I + 1) << "word " << I;
+  EXPECT_EQ(Tx.stats().MaxWriteWordsPerTxn, Words);
+}
+
+TEST_F(HtmTest, ReadSetGrowsToCapacityAndValidatesEveryRead) {
+  // Read distinct lines until the read set overflows: the loads before
+  // the overflow cover exactly MaxReadSetLines distinct stripes (lines
+  // may share a stripe). A fresh context reading those lines twice over
+  // then grows its read index from the start up to capacity -- the second
+  // pass must find every stripe each growth re-inserted -- and a forced
+  // validation must walk exactly one entry per stripe read.
+  makeRuntime();
+  HtmTx Prober(*Rt, 0), Writer(*Rt, 1);
+  constexpr size_t Lines = 10000; // Comfortably more distinct stripes.
+  std::vector<uint64_t> Arena((Lines + 8) * 8, 0);
+  size_t Loaded = 0;
+  TxResult Over = runHtmTx(Prober, [&](HtmTx &T) {
+    for (size_t I = 0; I != Lines; ++I) {
+      T.load(&Arena[I * 8]);
+      ++Loaded;
+    }
+  });
+  ASSERT_FALSE(Over.Committed);
+  ASSERT_EQ(Over.Code, AbortCode::Capacity);
+  ASSERT_GE(Loaded, Cfg.MaxReadSetLines);
+
+  // A same-stripe collision between the bumper word and a read line
+  // aborts the reader; retry with another bumper word, on a fresh context
+  // so every attempt grows its index from the start.
+  bool Committed = false;
+  uint64_t Validated = 0;
+  for (size_t Cand = 0; Cand != 4 && !Committed; ++Cand) {
+    HtmTx Reader(*Rt, 0);
+    TxResult R = runHtmTx(Reader, [&](HtmTx &T) {
+      uint64_t Sink = 0;
+      for (size_t Pass = 0; Pass != 2; ++Pass)
+        for (size_t I = 0; I != Loaded; ++I)
+          Sink += T.load(&Arena[I * 8]);
+      // An unrelated commit bumps the clock so the commit must validate.
+      TxResult W = runHtmTx(Writer, [&](HtmTx &T2) {
+        T2.store(&Arena[(Lines + 1 + Cand) * 8], 1);
+      });
+      ASSERT_TRUE(W.Committed);
+      T.store(&Arena[Lines * 8], Sink);
+    });
+    EXPECT_NE(R.Code, AbortCode::Capacity) << "a re-read was not found";
+    Committed = R.Committed;
+    Validated = Reader.stats().ValidatedReadSlots;
+  }
+  ASSERT_TRUE(Committed);
+  EXPECT_EQ(Validated, Cfg.MaxReadSetLines);
+}
+
+TEST_F(HtmTest, CapacityAbortAtGrowthPointLeavesMemoryAndNextTxEmpty) {
+  // The default capacities are powers of two, so the insert that
+  // overflows the write set is the one that would double its index
+  // again. The abort must win: memory keeps its committed values, and
+  // the next transaction on the context starts with empty sets even
+  // though its indexes kept their grown size.
+  makeRuntime();
+  HtmTx Tx(*Rt, 0), Writer(*Rt, 1);
+  constexpr size_t Words = 4096;
+  ASSERT_EQ(Cfg.MaxWriteSetLines * (CacheLineBytes / 8), Words);
+  alignas(64) static uint64_t Arena[Words + 8];
+  for (size_t I = 0; I != Words + 8; ++I)
+    Arena[I] = 1000 + I;
+  size_t Stored = 0;
+  TxResult Over = runHtmTx(Tx, [&](HtmTx &T) {
+    uint64_t Old = 0;
+    for (size_t I = 0; I != Words + 1; ++I) {
+      T.storeTracked(&Arena[I], I, (uint32_t)I, Old);
+      ++Stored;
+    }
+  });
+  ASSERT_FALSE(Over.Committed);
+  EXPECT_EQ(Over.Code, AbortCode::Capacity);
+  EXPECT_EQ(Stored, Words);
+  for (size_t I = 0; I != Words + 8; ++I)
+    ASSERT_EQ(Arena[I], 1000 + I) << "word " << I;
+
+  Tx.resetStats();
+  size_t Stale = 0;
+  TxResult R = runHtmTx(Tx, [&](HtmTx &T) {
+    EXPECT_EQ(T.writeSetWords(), 0u);
+    for (size_t I = 0; I != Words; ++I)
+      Stale += T.writtenWordTag(&Arena[I]) != nullptr;
+    for (size_t I = 0; I != 64; ++I) // The first eight lines.
+      Stale += T.load(&Arena[I]) != 1000 + I;
+    uint64_t Old = 0;
+    EXPECT_EQ(T.storeTracked(&Arena[5], 1, 3, Old), 3u);
+    EXPECT_EQ(Old, 1005u);
+    // Force validation: it must walk only this transaction's reads.
+    TxResult W = runHtmTx(Writer, [&](HtmTx &T2) {
+      T2.store(&Arena[Words + 7], 0);
+    });
+    ASSERT_TRUE(W.Committed);
+  });
+  ASSERT_TRUE(R.Committed);
+  EXPECT_EQ(Stale, 0u);
+  EXPECT_EQ(Arena[5], 1u);
+  EXPECT_EQ(Tx.stats().MaxWriteWordsPerTxn, 1u);
+  EXPECT_EQ(Tx.stats().ValidatedReadSlots, 8u);
 }
 
 } // namespace
