@@ -28,7 +28,7 @@
 //
 // Output schema (see README "Hot-path perf trajectory"):
 //   {"schema": "crafty-hotpath-bench-v1", "points": [
-//      {"label": ..., "ops_scale": ..., "results": [
+//      {"label": ..., "ops_scale": ..., "host": {...}, "results": [
 //         {"shape": ..., "system": ..., "threads": N, "checkers": bool,
 //          "ops": N, "ns_per_op": X, "ops_per_sec": Y,
 //          "clwb_calls": N, "lines_scheduled": N, "drains": N,
@@ -48,6 +48,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HostStamp.h"
 #include "baselines/Factory.h"
 #include "core/Crafty.h"
 #include "support/Clock.h"
@@ -233,8 +234,9 @@ std::string formatPoint(const std::string &Label, double Scale,
   JsonWriter W(Out, JsonWriter::Pretty, TrajectoryPointDepth);
   W.beginObject()
       .field("label", Label)
-      .field("ops_scale", Scale)
-      .key("results")
+      .field("ops_scale", Scale);
+  writeHostStamp(W);
+  W.key("results")
       .beginArray();
   for (const CellResult &R : Results)
     W.beginObject(/*Inline=*/true)

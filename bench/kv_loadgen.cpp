@@ -16,7 +16,7 @@
 // the op counts).
 //
 //   {"schema": "crafty-kv-bench-v1", "points": [
-//     {"label": ..., "ops_scale": ..., "results": [
+//     {"label": ..., "ops_scale": ..., "host": {...}, "results": [
 //       {"system": ..., "shards": N, "conns": M, "batch": B,
 //        "read_pct": P, "value_bytes": V, "ops": N,
 //        "ops_per_sec": X, "p50_us": X, "p99_us": X,
@@ -73,6 +73,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "HostStamp.h"
 #include "heap/DurableHeap.h"
 #include "kv/KvClient.h"
 #include "kv/KvServer.h"
@@ -493,8 +494,9 @@ std::string formatPoint(const std::string &Label, double Scale,
   JsonWriter W(Out, JsonWriter::Pretty, TrajectoryPointDepth);
   W.beginObject()
       .field("label", Label)
-      .field("ops_scale", Scale)
-      .key("results")
+      .field("ops_scale", Scale);
+  writeHostStamp(W);
+  W.key("results")
       .beginArray();
   for (const CellResult &R : Results) {
     double PerReq = R.Requests ? 1.0 / (1000.0 * (double)R.Requests) : 0;

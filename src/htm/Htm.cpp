@@ -36,6 +36,39 @@ static size_t nextPow2(size_t N) {
   return P;
 }
 
+namespace {
+/// Performs committed stores and reports them to MemoryHooks::OnStoreRun,
+/// one call per run of consecutive same-line stores (split at
+/// StoreRunMax). flush() must run before the stores' stripes are released.
+class StoreRunWriter {
+public:
+  explicit StoreRunWriter(const MemoryHooks &Hooks) : Hooks(Hooks) {}
+
+  void write(uint64_t *Addr, uint64_t Val) {
+    uint64_t Old = __atomic_load_n(Addr, __ATOMIC_RELAXED);
+    __atomic_store_n(Addr, Val, __ATOMIC_RELEASE);
+    if (!Hooks.OnStoreRun)
+      return;
+    if (Len == MemoryHooks::StoreRunMax ||
+        (Len != 0 && lineOf(Addr) != lineOf(Run[0].Addr)))
+      flush();
+    Run[Len++] = StoredWord{Addr, Old, Val};
+  }
+
+  void flush() {
+    if (Len == 0)
+      return;
+    Hooks.OnStoreRun(Hooks.Ctx, Run, Len);
+    Len = 0;
+  }
+
+private:
+  MemoryHooks Hooks; // A copy: the stores cannot alias it.
+  StoredWord Run[MemoryHooks::StoreRunMax];
+  size_t Len = 0;
+};
+} // namespace
+
 //===----------------------------------------------------------------------===//
 // HtmRuntime
 //===----------------------------------------------------------------------===//
@@ -63,10 +96,9 @@ void HtmRuntime::nonTxStore(uint64_t *Addr, uint64_t Val) {
   }
   NonTxClockBumps.fetch_add(1, std::memory_order_relaxed);
   uint64_t Version = Clock.fetch_add(1, std::memory_order_acq_rel) + 1;
-  uint64_t Old = __atomic_load_n(Addr, __ATOMIC_RELAXED);
-  __atomic_store_n(Addr, Val, __ATOMIC_RELEASE);
-  if (Hooks.OnStore)
-    Hooks.OnStore(Hooks.Ctx, Addr, Old, Val);
+  StoreRunWriter Run(Hooks);
+  Run.write(Addr, Val);
+  Run.flush();
   if (CRAFTY_UNLIKELY(AHooks.OnNonTxStore != nullptr))
     AHooks.OnNonTxStore(AHooks.Ctx, Addr, Version);
   Stripe.store(Version << 1, std::memory_order_release);
@@ -108,15 +140,14 @@ void HtmRuntime::nonTxStoreBatch(uint64_t *const *Addrs, const uint64_t *Vals,
 
   NonTxClockBumps.fetch_add(1, std::memory_order_relaxed);
   uint64_t Version = Clock.fetch_add(1, std::memory_order_acq_rel) + 1;
+  StoreRunWriter Run(Hooks);
   for (size_t I = 0; I != Count; ++I) {
     CRAFTY_TX_BOUND(Count); // Caller-sized batch; not inside an HTM tx.
-    uint64_t Old = __atomic_load_n(Addrs[I], __ATOMIC_RELAXED);
-    __atomic_store_n(Addrs[I], Vals[I], __ATOMIC_RELEASE);
-    if (Hooks.OnStore)
-      Hooks.OnStore(Hooks.Ctx, Addrs[I], Old, Vals[I]);
+    Run.write(Addrs[I], Vals[I]);
     if (CRAFTY_UNLIKELY(AHooks.OnNonTxStore != nullptr))
       AHooks.OnNonTxStore(AHooks.Ctx, Addrs[I], Version);
   }
+  Run.flush();
   uint64_t NewStripeVersion = Version << 1;
   for (std::atomic<uint64_t> *Stripe : Stripes)
     Stripe->store(NewStripeVersion, std::memory_order_release);
@@ -147,9 +178,9 @@ bool HtmRuntime::nonTxCas(uint64_t *Addr, uint64_t Expected,
   }
   NonTxClockBumps.fetch_add(1, std::memory_order_relaxed);
   uint64_t Version = Clock.fetch_add(1, std::memory_order_acq_rel) + 1;
-  __atomic_store_n(Addr, Desired, __ATOMIC_RELEASE);
-  if (Hooks.OnStore)
-    Hooks.OnStore(Hooks.Ctx, Addr, Cur, Desired);
+  StoreRunWriter Run(Hooks);
+  Run.write(Addr, Desired);
+  Run.flush();
   if (CRAFTY_UNLIKELY(AHooks.OnNonTxStore != nullptr))
     AHooks.OnNonTxStore(AHooks.Ctx, Addr, Version);
   Stripe.store(Version << 1, std::memory_order_release);
@@ -371,20 +402,13 @@ uint64_t HtmTx::commit() {
   if (Hooks.OnCommitFence)
     Hooks.OnCommitFence(Hooks.Ctx, ThreadId);
 
-  for (const WriteEntry &W : Writes) {
-    uint64_t Val =
-        W.IsCommitVersion ? (CommitVersion << W.Shift) | W.OrMask : W.Val;
-    uint64_t Old = __atomic_load_n(W.Addr, __ATOMIC_RELAXED);
-    __atomic_store_n(W.Addr, Val, __ATOMIC_RELEASE);
-    if (Hooks.OnStore)
-      Hooks.OnStore(Hooks.Ctx, W.Addr, Old, Val);
-  }
-  for (const auto &[Addr, Val] : StreamWrites) {
-    uint64_t Old = __atomic_load_n(Addr, __ATOMIC_RELAXED);
-    __atomic_store_n(Addr, Val, __ATOMIC_RELEASE);
-    if (Hooks.OnStore)
-      Hooks.OnStore(Hooks.Ctx, Addr, Old, Val);
-  }
+  StoreRunWriter Run(Hooks);
+  for (const WriteEntry &W : Writes)
+    Run.write(W.Addr, W.IsCommitVersion ? (CommitVersion << W.Shift) | W.OrMask
+                                        : W.Val);
+  for (const auto &[Addr, Val] : StreamWrites)
+    Run.write(Addr, Val);
+  Run.flush();
 
   // Observer notification precedes the stripe release: any conflicting
   // access serializes after this commit only once the stripes are free, so

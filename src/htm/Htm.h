@@ -140,22 +140,35 @@ struct HtmStats {
   }
 };
 
+/// One committed store: the word's address, its content immediately
+/// before the store and the value stored.
+struct StoredWord {
+  uint64_t *Addr;
+  uint64_t OldVal;
+  uint64_t NewVal;
+};
+
 /// Hooks that let the persistent-memory simulator observe committed stores
 /// (to track dirty lines) and commit fences (SFENCE semantics of an RTM
 /// commit, which complete the thread's pending CLWBs).
 struct MemoryHooks {
   void *Ctx = nullptr;
-  /// Called (with the runtime-internal stripe still locked) for every word
-  /// stored by a committing transaction or a non-transactional store.
-  /// \p OldVal is the word's content immediately before the store and
-  /// \p NewVal the value stored; observers (persistence checking) use the
-  /// pair to tell value-changing stores from no-op ones (e.g. the Log
-  /// phase's rollback writes restore exactly the value already in memory).
-  void (*OnStore)(void *Ctx, void *Addr, uint64_t OldVal,
-                  uint64_t NewVal) = nullptr;
+  /// Called (with the stores' stripes still locked) once per run of
+  /// consecutive stores to one cache line made by a committing
+  /// transaction's write-back or a non-transactional store: \p Words[0 ..
+  /// \p N) in store order, 1 <= N <= StoreRunMax. A longer same-line run
+  /// arrives as several calls. Every stored word appears, value-preserving
+  /// ones included (the Log phase's rollback writes restore exactly the
+  /// value already in memory), so the receiver can update per-line state
+  /// once per run and still tell changing stores from no-op ones.
+  void (*OnStoreRun)(void *Ctx, const StoredWord *Words, size_t N) = nullptr;
   /// Called once per successful commit, before the transaction's write-back
   /// becomes visible. \p ThreadId identifies the committing context.
   void (*OnCommitFence)(void *Ctx, uint32_t ThreadId) = nullptr;
+
+  /// The words in a line. A run of distinct words never exceeds it; a
+  /// nonTxStoreBatch that stores one word twice can, and is split.
+  static constexpr size_t StoreRunMax = CacheLineBytes / 8;
 };
 
 /// Hooks that let a dynamic race/isolation checker (check/TxRaceCheck.h)
@@ -304,16 +317,25 @@ public:
     return __atomic_load_n(Addr, __ATOMIC_ACQUIRE);
   }
 
+  /// Index of the conflict-detection stripe covering \p Addr.
+  size_t stripeIndex(const void *Addr) const {
+    return (reinterpret_cast<uintptr_t>(Addr) >>
+            Config.ConflictGranularityShift) &
+           TableMask;
+  }
+
 private:
   friend class HtmTx;
 
   /// A stripe is either a version (LSB 0; version = clock value << 1) or a
   /// lock owned by a committing transaction (LSB 1; owner = ptr | 1).
+  /// Line-indexed, not hashed: consecutive lines get consecutive stripes
+  /// (eight to a table cache line, so a transaction's neighbouring lines
+  /// share cache misses), and two lines alias only when they are a whole
+  /// table apart -- 2^20 lines, 64 MiB at line granularity (DESIGN.md
+  /// Section 7.4).
   std::atomic<uint64_t> &stripeFor(const void *Addr) {
-    uintptr_t Key = reinterpret_cast<uintptr_t>(Addr) >>
-                    Config.ConflictGranularityShift;
-    uint64_t H = (uint64_t)Key * 0x9e3779b97f4a7c15ull;
-    return Table[(H >> 32) & TableMask];
+    return Table[stripeIndex(Addr)];
   }
 
   HtmConfig Config;

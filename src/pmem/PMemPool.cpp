@@ -289,38 +289,53 @@ void PMemPool::onCommittedStore(void *Addr) {
     return;
   if (CRAFTY_UNLIKELY(Observer != nullptr))
     Observer->onStore(Addr, 0, 0, /*ValuesKnown=*/false);
-  committedStoreCommon(Addr);
+  lineStored(lineIndex(Addr), 1, /*Changed=*/true);
 }
 
 void PMemPool::onCommittedStore(void *Addr, uint64_t OldVal,
                                 uint64_t NewVal) {
-  if (CRAFTY_LIKELY(Observer == nullptr) && Config.Mode != PMemMode::Tracked)
-    return;
-  if (!contains(Addr))
-    return;
-  if (CRAFTY_UNLIKELY(Observer != nullptr))
-    Observer->onStore(Addr, OldVal, NewVal, /*ValuesKnown=*/true);
-  committedStoreCommon(Addr);
+  StoredWord W{static_cast<uint64_t *>(Addr), OldVal, NewVal};
+  onCommittedRun(&W, 1);
 }
 
-void PMemPool::committedStoreCommon(void *Addr) {
-  size_t Line = lineIndex(Addr);
-  // Bump the line's store generation first: any CLWB already armed for
-  // this line no longer covers its content, so the coalescing filter must
-  // let the next flush of it through.
-  if (LineGen)
-    LineGen[Line].fetch_add(1, std::memory_order_relaxed);
-  if (Config.Mode != PMemMode::Tracked)
+void PMemPool::onCommittedRun(const StoredWord *Words, size_t N) {
+  if (CRAFTY_LIKELY(Observer == nullptr) && Config.Mode != PMemMode::Tracked)
     return;
-  Dirty[Line].store(1, std::memory_order_relaxed);
-  // Publish to the coarse summary only when the bit is not already set:
-  // the common case (a hot line re-dirtied within one barrier window) is
-  // then a single relaxed load with no write traffic.
-  std::atomic<uint64_t> &Word = DirtySummary[Line >> 6];
-  uint64_t Bit = 1ull << (Line & 63);
-  if (!(Word.load(std::memory_order_relaxed) & Bit))
-    Word.fetch_or(Bit, std::memory_order_relaxed);
-  if (Config.EvictionPerMillion == 0)
+  // The pool is line-aligned, so one word decides for the whole line.
+  if (!contains(Words[0].Addr))
+    return;
+  // An observer judges no-op stores itself (PersistCheck records those to
+  // log slots), so with one installed every run re-dirties its line: a
+  // CLWB coalesced after a store it counted would otherwise vanish.
+  bool Changed = Observer != nullptr;
+  for (size_t I = 0; I != N; ++I) {
+    const StoredWord &W = Words[I];
+    if (CRAFTY_UNLIKELY(Observer != nullptr))
+      Observer->onStore(W.Addr, W.OldVal, W.NewVal, /*ValuesKnown=*/true);
+    Changed |= W.OldVal != W.NewVal;
+  }
+  lineStored(lineIndex(Words[0].Addr), N, Changed);
+}
+
+void PMemPool::lineStored(size_t Line, size_t Words, bool Changed) {
+  if (Changed) {
+    // Bump the line's store generation first: any CLWB already armed for
+    // this line no longer covers its content, so the coalescing filter
+    // must let the next flush of it through.
+    if (LineGen)
+      LineGen[Line].fetch_add(1, std::memory_order_relaxed);
+    if (Config.Mode != PMemMode::Tracked)
+      return;
+    Dirty[Line].store(1, std::memory_order_relaxed);
+    // Publish to the coarse summary only when the bit is not already set:
+    // the common case (a hot line re-dirtied within one barrier window) is
+    // then a single relaxed load with no write traffic.
+    std::atomic<uint64_t> &Word = DirtySummary[Line >> 6];
+    uint64_t Bit = 1ull << (Line & 63);
+    if (!(Word.load(std::memory_order_relaxed) & Bit))
+      Word.fetch_or(Bit, std::memory_order_relaxed);
+  }
+  if (Config.Mode != PMemMode::Tracked || Config.EvictionPerMillion == 0)
     return;
   if (!EvictionRngPtr) {
     EvictionRngStorage.reseed(
@@ -328,7 +343,12 @@ void PMemPool::committedStoreCommon(void *Addr) {
         EvictionThreadCounter.fetch_add(1, std::memory_order_relaxed) * 7919);
     EvictionRngPtr = &EvictionRngStorage;
   }
-  if (EvictionRngPtr->chance(Config.EvictionPerMillion, 1000000)) {
+  // One draw per stored word, changed or not, so EvictionPerMillion keeps
+  // its per-word meaning; a hit writes the line back as the run left it.
+  bool Evict = false;
+  for (size_t I = 0; I != Words; ++I)
+    Evict |= EvictionRngPtr->chance(Config.EvictionPerMillion, 1000000);
+  if (Evict) {
     copyLineToImage(Line);
     EvictCount.fetch_add(1, std::memory_order_relaxed);
     if (CRAFTY_UNLIKELY(Observer != nullptr))
@@ -531,9 +551,8 @@ void PMemPool::reset() {
     Observer->onReset();
 }
 
-static void hookOnStore(void *Ctx, void *Addr, uint64_t OldVal,
-                        uint64_t NewVal) {
-  static_cast<PMemPool *>(Ctx)->onCommittedStore(Addr, OldVal, NewVal);
+static void hookOnStoreRun(void *Ctx, const StoredWord *Words, size_t N) {
+  static_cast<PMemPool *>(Ctx)->onCommittedRun(Words, N);
 }
 
 static void hookOnCommitFence(void *Ctx, uint32_t ThreadId) {
@@ -543,7 +562,7 @@ static void hookOnCommitFence(void *Ctx, uint32_t ThreadId) {
 MemoryHooks PMemPool::htmHooks() {
   MemoryHooks Hooks;
   Hooks.Ctx = this;
-  Hooks.OnStore = hookOnStore;
+  Hooks.OnStoreRun = hookOnStoreRun;
   Hooks.OnCommitFence = hookOnCommitFence;
   return Hooks;
 }

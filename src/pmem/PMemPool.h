@@ -25,7 +25,8 @@
 ///    against every state a real crash could expose.
 ///
 /// The pool integrates with the HTM emulation through MemoryHooks: a
-/// committed transactional store marks its line dirty, and a commit fence
+/// committed transactional store that changes its line marks it dirty
+/// (reported once per same-line run of stores), and a commit fence
 /// (RTM's SFENCE semantics) completes the committing thread's pending
 /// CLWBs before the transaction's stores become visible. That ordering is
 /// what lets Crafty flush undo-log entries without draining: the next
@@ -66,8 +67,11 @@ struct PMemConfig {
   /// (Section 6; 100 ns in Appendix A).
   uint64_t DrainLatencyNs = 300;
   /// In Tracked mode, probability (per million committed stores) that the
-  /// stored line is immediately written back to the persistent image,
-  /// modeling spontaneous cache eviction. 0 disables.
+  /// stored line is written back to the persistent image, modeling
+  /// spontaneous cache eviction. 0 disables. Still a per-word probability
+  /// when stores arrive in same-line runs (PMemPool::onCommittedRun): each
+  /// word of a run draws once, at the end of the run, and any hit writes
+  /// the line back as the run left it.
   uint32_t EvictionPerMillion = 0;
   uint64_t EvictionSeed = 42;
   /// Maximum threads that may issue CLWBs (per-thread pending queues).
@@ -248,12 +252,20 @@ public:
   PMemObserver *observer() const { return Observer; }
 
   /// Marks the line of a committed store dirty and possibly evicts it
-  /// (Tracked mode). Called by the HTM write-back hook; also call it for
-  /// any direct store to pool memory made outside transactions. The
-  /// three-argument form additionally reports the word's before/after
-  /// values to the observer (see PMemObserver::onStore).
+  /// (Tracked mode). Call it for any direct store to pool memory made
+  /// outside transactions. The three-argument form is onCommittedRun of
+  /// one word; the one-argument form reports unknown values and always
+  /// dirties the line.
   void onCommittedStore(void *Addr);
   void onCommittedStore(void *Addr, uint64_t OldVal, uint64_t NewVal);
+
+  /// A run of committed stores to one cache line, \p Words[0 .. \p N) in
+  /// store order (the HTM write-back hook, MemoryHooks::OnStoreRun). The
+  /// observer sees every word; the line's generation bump, dirty mark and
+  /// summary bit happen once per run, and only if some word changed value
+  /// (or an observer is installed). Eviction draws once per word of the
+  /// run, after the run is stored (see PMemConfig::EvictionPerMillion).
+  void onCommittedRun(const StoredWord *Words, size_t N);
 
   /// Writes \p Len bytes at \p Addr directly to the persistent image and
   /// the volatile view, bypassing the cache model. Used by recovery and
@@ -322,7 +334,9 @@ private:
            CacheLineShift;
   }
   void copyLineToImage(size_t Line);
-  void committedStoreCommon(void *Addr);
+  /// The per-line half of onCommittedRun: \p Words stored words, of which
+  /// some changed the line's content if \p Changed.
+  void lineStored(size_t Line, size_t Words, bool Changed);
 
   /// Pending-line filter entries per thread slot. Direct-mapped: a
   /// collision only forgets that a line is pending (re-arming it, which

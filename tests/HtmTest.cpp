@@ -17,6 +17,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -306,6 +307,46 @@ TEST_F(HtmTest, ReadOnlyCommitNeedsNoClockTick) {
   EXPECT_EQ(Rt->globalClock(), Before);
 }
 
+TEST_F(HtmTest, StripesAreLineIndexed) {
+  makeRuntime();
+  constexpr size_t TableLines = size_t(1) << 20;
+  // One stripe table's worth of lines apart: 64 MiB of address space, of
+  // which only the two lines used are ever touched.
+  constexpr size_t Stride = TableLines * CacheLineBytes;
+  std::unique_ptr<uint8_t[]> Mem(new uint8_t[Stride + 2 * CacheLineBytes]);
+  auto *A = reinterpret_cast<uint64_t *>(
+      (reinterpret_cast<uintptr_t>(Mem.get()) + CacheLineBytes - 1) &
+      ~(uintptr_t)(CacheLineBytes - 1));
+  auto *B = A + Stride / 8;
+
+  // Adjacent lines: distinct, consecutive stripes (modulo the table).
+  size_t First = Rt->stripeIndex(A);
+  for (size_t L = 1; L != 16; ++L)
+    EXPECT_EQ(Rt->stripeIndex(A + L * (CacheLineBytes / 8)),
+              (First + L) % TableLines)
+        << "line " << L;
+  // Words of one line share its stripe.
+  EXPECT_EQ(Rt->stripeIndex(A + 7), First);
+  // Aliasing happens exactly at the table stride.
+  EXPECT_EQ(Rt->stripeIndex(B), First);
+
+  // Reading A and writing B locks the stripe the read set recorded. The
+  // clock bump inside the body forces commit-time validation, which must
+  // judge the owned stripe by its pre-lock version, not abort on it.
+  *A = 5;
+  *B = 0;
+  HtmTx Tx(*Rt, 0);
+  TxResult R = runHtmTx(Tx, [&](HtmTx &T) {
+    uint64_t V = T.load(A);
+    Rt->advanceClock();
+    T.store(B, V + 1);
+  });
+  ASSERT_TRUE(R.Committed) << abortCodeName(R.Code);
+  EXPECT_EQ(*B, 6u);
+  EXPECT_EQ(Tx.stats().AbortConflict, 0u);
+  EXPECT_GT(Tx.stats().ValidatedReadSlots, 0u) << "validation did not run";
+}
+
 TEST_F(HtmTest, CommitFenceHookRunsBeforeWriteback) {
   makeRuntime();
   struct HookState {
@@ -323,11 +364,11 @@ TEST_F(HtmTest, CommitFenceHookRunsBeforeWriteback) {
     ++S->Fences;
     S->SeenAtFence = __atomic_load_n(S->Target, __ATOMIC_RELAXED);
   };
-  Hooks.OnStore = [](void *Ctx, void *, uint64_t OldVal, uint64_t NewVal) {
+  Hooks.OnStoreRun = [](void *Ctx, const StoredWord *Words, size_t N) {
     auto *S = static_cast<HookState *>(Ctx);
-    ++S->Stores;
-    EXPECT_EQ(OldVal, 0u);
-    EXPECT_EQ(NewVal, 5u);
+    S->Stores += (int)N;
+    EXPECT_EQ(Words[0].OldVal, 0u);
+    EXPECT_EQ(Words[0].NewVal, 5u);
   };
   Rt->setMemoryHooks(Hooks);
   HtmTx Tx(*Rt, 0);

@@ -13,6 +13,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 using namespace crafty;
 
@@ -298,6 +299,173 @@ TEST(PMemAllocator, ExhaustionReturnsNull) {
   }
   EXPECT_GT(Count, 0);
   EXPECT_NE(Last, nullptr);
+}
+
+//===----------------------------------------------------------------------===//
+// Committed-store tracking through the HTM write-back (MemoryHooks runs)
+//===----------------------------------------------------------------------===//
+
+/// Records every onStore and counts evictions; ignores the rest.
+class StoreRecorder : public PMemObserver {
+public:
+  std::vector<StoredWord> Stores;
+  size_t Evictions = 0;
+
+  void onStore(void *Addr, uint64_t OldVal, uint64_t NewVal,
+               bool ValuesKnown) override {
+    EXPECT_TRUE(ValuesKnown);
+    Stores.push_back(StoredWord{static_cast<uint64_t *>(Addr), OldVal, NewVal});
+  }
+  void onClwb(uint32_t, const void *) override {}
+  void onDrain(uint32_t, bool) override {}
+  void onEvict(const void *) override { ++Evictions; }
+  void onPersistDirect(const void *, size_t) override {}
+  void onPersistImageWord(uint32_t, const void *, uint64_t) override {}
+  void onFlushEverything() override {}
+  void onCrash() override {}
+  void onReset() override {}
+};
+
+/// A tracked pool behind an HTM runtime whose store hook also records the
+/// size of every run it forwards to the pool.
+class WriteBackHarness {
+public:
+  explicit WriteBackHarness(uint32_t EvictionPerMillion = 0)
+      : Pool(config(EvictionPerMillion)) {
+    MemoryHooks Hooks = Pool.htmHooks();
+    Hooks.Ctx = this;
+    Hooks.OnStoreRun = [](void *Ctx, const StoredWord *Words, size_t N) {
+      auto *H = static_cast<WriteBackHarness *>(Ctx);
+      H->Runs.push_back(N);
+      H->Pool.onCommittedRun(Words, N);
+    };
+    Hooks.OnCommitFence = [](void *Ctx, uint32_t ThreadId) {
+      static_cast<WriteBackHarness *>(Ctx)->Pool.drain(ThreadId);
+    };
+    Htm.setMemoryHooks(Hooks);
+  }
+
+  /// A fresh line whose words hold (volatile and persisted) 1, 2, ... 8.
+  uint64_t *cleanLine() {
+    auto *L = static_cast<uint64_t *>(Pool.carve(CacheLineBytes));
+    uint64_t Init[CacheLineBytes / 8];
+    for (size_t I = 0; I != CacheLineBytes / 8; ++I)
+      Init[I] = I + 1;
+    Pool.persistDirect(L, Init, sizeof(Init));
+    return L;
+  }
+
+  /// Commits one transaction running \p Body.
+  template <typename Fn> void commit(Fn &&Body) {
+    HtmTx Tx(Htm, 0);
+    ASSERT_TRUE(runHtmTx(Tx, Body).Committed);
+  }
+
+  PMemPool Pool;
+  HtmRuntime Htm;
+  std::vector<size_t> Runs;
+
+private:
+  static PMemConfig config(uint32_t EvictionPerMillion) {
+    PMemConfig C = trackedConfig();
+    C.EvictionPerMillion = EvictionPerMillion;
+    return C;
+  }
+};
+
+TEST(WriteBackTracking, UnchangedCommitLeavesCleanLineClean) {
+  WriteBackHarness H;
+  uint64_t *L = H.cleanLine();
+  ASSERT_FALSE(H.Pool.isLineDirty(L));
+  H.commit([&](HtmTx &T) {
+    for (size_t I = 0; I != 8; ++I)
+      T.store(&L[I], I + 1); // The value already there.
+  });
+  EXPECT_EQ(H.Runs, std::vector<size_t>{8});
+  EXPECT_FALSE(H.Pool.isLineDirty(L));
+}
+
+TEST(WriteBackTracking, ObserverSeesEveryWordOfARun) {
+  WriteBackHarness H;
+  StoreRecorder Rec;
+  H.Pool.setObserver(&Rec);
+  uint64_t *L = H.cleanLine();
+  H.commit([&](HtmTx &T) {
+    for (size_t I = 0; I != 8; ++I)
+      T.store(&L[I], I == 3 ? 4 : 100 + I); // Word 3 keeps its value.
+  });
+  H.Pool.setObserver(nullptr);
+  EXPECT_EQ(H.Runs, std::vector<size_t>{8});
+  ASSERT_EQ(Rec.Stores.size(), 8u);
+  for (size_t I = 0; I != 8; ++I) {
+    EXPECT_EQ(Rec.Stores[I].Addr, &L[I]) << I;
+    EXPECT_EQ(Rec.Stores[I].OldVal, I + 1) << I;
+    EXPECT_EQ(Rec.Stores[I].NewVal, I == 3 ? 4 : 100 + I) << I;
+  }
+}
+
+TEST(WriteBackTracking, OneChangedWordDirtiesTheLine) {
+  WriteBackHarness H;
+  uint64_t *L = H.cleanLine();
+  H.commit([&](HtmTx &T) {
+    for (size_t I = 0; I != 8; ++I)
+      T.store(&L[I], I == 5 ? 60 : I + 1);
+  });
+  EXPECT_EQ(H.Runs, std::vector<size_t>{8});
+  EXPECT_TRUE(H.Pool.isLineDirty(L));
+  EXPECT_EQ(L[5], 60u);
+  EXPECT_EQ(imageWordAt(H.Pool, &L[5]), 6u) << "persisted without a flush";
+}
+
+TEST(WriteBackTracking, LastRunOfTheWriteSetIsReported) {
+  WriteBackHarness H;
+  uint64_t *A = H.cleanLine(), *B = H.cleanLine(), *C = H.cleanLine();
+  H.commit([&](HtmTx &T) {
+    T.store(&A[0], 10);
+    T.store(&B[0], 20);
+    T.store(&B[1], 21);
+    T.store(&C[7], 30); // Alone in the last run.
+  });
+  EXPECT_EQ(H.Runs, (std::vector<size_t>{1, 2, 1}));
+  EXPECT_TRUE(H.Pool.isLineDirty(A));
+  EXPECT_TRUE(H.Pool.isLineDirty(B));
+  EXPECT_TRUE(H.Pool.isLineDirty(C));
+}
+
+TEST(WriteBackTracking, BatchRunSplitsWhenFull) {
+  WriteBackHarness H;
+  StoreRecorder Rec;
+  H.Pool.setObserver(&Rec);
+  uint64_t *L = H.cleanLine();
+  // Ten stores to one line: two words are stored twice.
+  uint64_t *Addrs[10];
+  uint64_t Vals[10];
+  for (size_t I = 0; I != 10; ++I) {
+    Addrs[I] = &L[I % 8];
+    Vals[I] = 200 + I;
+  }
+  H.Htm.nonTxStoreBatch(Addrs, Vals, 10);
+  H.Pool.setObserver(nullptr);
+  EXPECT_EQ(H.Runs, (std::vector<size_t>{8, 2}));
+  ASSERT_EQ(Rec.Stores.size(), 10u);
+  EXPECT_EQ(Rec.Stores[8].OldVal, 200u);
+  EXPECT_EQ(Rec.Stores[8].NewVal, 208u);
+  EXPECT_EQ(L[0], 208u);
+  EXPECT_EQ(L[2], 202u);
+}
+
+TEST(WriteBackTracking, EvictionWritesBackTheLineAsTheRunLeftIt) {
+  WriteBackHarness H(/*EvictionPerMillion=*/1000000);
+  uint64_t *L = H.cleanLine();
+  H.commit([&](HtmTx &T) {
+    for (size_t I = 0; I != 8; ++I)
+      T.store(&L[I], 100 + I);
+  });
+  // Every word's draw hits, yet the run is written back once, whole.
+  EXPECT_EQ(H.Pool.stats().EvictedLines, 1u);
+  EXPECT_FALSE(H.Pool.isLineDirty(L));
+  for (size_t I = 0; I != 8; ++I)
+    EXPECT_EQ(imageWordAt(H.Pool, &L[I]), 100 + I) << I;
 }
 
 } // namespace
