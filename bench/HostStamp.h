@@ -16,16 +16,17 @@
 /// nproc counts the CPUs the process may run on (as nproc(1) does), cpu is
 /// the /proc/cpuinfo model name, compiler and build_type come from the
 /// CMake configuration, and git_sha is the source tree's HEAD when the
-/// bench ran, suffixed "-dirty" when tracked files differ from it.
+/// bench was built, suffixed "-dirty" when tracked files differed from it
+/// (bench/GitSha.cmake, run on every build).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CRAFTY_BENCH_HOSTSTAMP_H
 #define CRAFTY_BENCH_HOSTSTAMP_H
 
+#include "BenchGitSha.h"
 #include "support/Json.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sched.h>
 #include <string>
@@ -54,32 +55,6 @@ inline std::string hostCpuModel() {
   return "unknown";
 }
 
-/// First output line of \p Cmd, or empty if it fails.
-inline std::string commandLine(const std::string &Cmd) {
-  std::string Out;
-  if (FILE *P = popen(Cmd.c_str(), "r")) {
-    char Buf[256];
-    if (std::fgets(Buf, sizeof(Buf), P))
-      Out = Buf;
-    if (pclose(P) != 0)
-      Out.clear();
-  }
-  while (!Out.empty() && (Out.back() == '\n' || Out.back() == '\r'))
-    Out.pop_back();
-  return Out;
-}
-
-inline std::string sourceGitSha() {
-  std::string Git = "git -C '" CRAFTY_BENCH_SOURCE_DIR "' ";
-  std::string Sha = commandLine(Git + "rev-parse HEAD 2>/dev/null");
-  if (Sha.empty())
-    return "unavailable";
-  if (!commandLine(Git + "status --porcelain --untracked-files=no "
-                         "2>/dev/null").empty())
-    Sha += "-dirty";
-  return Sha;
-}
-
 /// Writes the "host" field of a trajectory point into the open object.
 inline void writeHostStamp(JsonWriter &W) {
   W.key("host")
@@ -88,7 +63,7 @@ inline void writeHostStamp(JsonWriter &W) {
       .field("cpu", hostCpuModel())
       .field("compiler", CRAFTY_BENCH_COMPILER)
       .field("build_type", CRAFTY_BENCH_BUILD_TYPE)
-      .field("git_sha", sourceGitSha())
+      .field("git_sha", CRAFTY_BENCH_GIT_SHA)
       .endObject();
 }
 

@@ -39,7 +39,8 @@ static size_t nextPow2(size_t N) {
 namespace {
 /// Performs committed stores and reports them to MemoryHooks::OnStoreRun,
 /// one call per run of consecutive same-line stores (split at
-/// StoreRunMax). flush() must run before the stores' stripes are released.
+/// StoreRunMax). flush() must run before the stores' stripes are released;
+/// the non-transactional paths flush after every store.
 class StoreRunWriter {
 public:
   explicit StoreRunWriter(const MemoryHooks &Hooks) : Hooks(Hooks) {}
@@ -74,8 +75,7 @@ private:
 //===----------------------------------------------------------------------===//
 
 HtmRuntime::HtmRuntime(HtmConfig Config) : Config(Config) {
-  constexpr unsigned LockTableBits = 20; // log2 of the stripe count.
-  size_t Entries = (size_t)1 << LockTableBits;
+  size_t Entries = (size_t)1 << StripeTableBits;
   TableMask = Entries - 1;
   Table = std::make_unique<std::atomic<uint64_t>[]>(Entries);
   for (size_t I = 0; I != Entries; ++I)
@@ -143,11 +143,13 @@ void HtmRuntime::nonTxStoreBatch(uint64_t *const *Addrs, const uint64_t *Vals,
   StoreRunWriter Run(Hooks);
   for (size_t I = 0; I != Count; ++I) {
     CRAFTY_TX_BOUND(Count); // Caller-sized batch; not inside an HTM tx.
+    // One-word runs: unlike a commit's write-back, these are ordinary
+    // stores, and a line may be evicted between any two of them.
     Run.write(Addrs[I], Vals[I]);
+    Run.flush();
     if (CRAFTY_UNLIKELY(AHooks.OnNonTxStore != nullptr))
       AHooks.OnNonTxStore(AHooks.Ctx, Addrs[I], Version);
   }
-  Run.flush();
   uint64_t NewStripeVersion = Version << 1;
   for (std::atomic<uint64_t> *Stripe : Stripes)
     Stripe->store(NewStripeVersion, std::memory_order_release);

@@ -155,19 +155,23 @@ struct MemoryHooks {
   void *Ctx = nullptr;
   /// Called (with the stores' stripes still locked) once per run of
   /// consecutive stores to one cache line made by a committing
-  /// transaction's write-back or a non-transactional store: \p Words[0 ..
-  /// \p N) in store order, 1 <= N <= StoreRunMax. A longer same-line run
-  /// arrives as several calls. Every stored word appears, value-preserving
-  /// ones included (the Log phase's rollback writes restore exactly the
-  /// value already in memory), so the receiver can update per-line state
-  /// once per run and still tell changing stores from no-op ones.
+  /// transaction's write-back: \p Words[0 .. \p N) in store order,
+  /// 1 <= N <= StoreRunMax. A longer same-line run arrives as several
+  /// calls. A commit publishes its stores together, so the receiver may
+  /// treat a run as one event. Non-transactional stores (nonTxStore,
+  /// nonTxCas, each store of a nonTxStoreBatch) are ordinary stores that a
+  /// line can be evicted between, so each arrives as a run of one. Every
+  /// stored word appears, value-preserving ones included (the Log phase's
+  /// rollback writes restore exactly the value already in memory), so the
+  /// receiver can update per-line state once per run and still tell
+  /// changing stores from no-op ones.
   void (*OnStoreRun)(void *Ctx, const StoredWord *Words, size_t N) = nullptr;
   /// Called once per successful commit, before the transaction's write-back
   /// becomes visible. \p ThreadId identifies the committing context.
   void (*OnCommitFence)(void *Ctx, uint32_t ThreadId) = nullptr;
 
-  /// The words in a line. A run of distinct words never exceeds it; a
-  /// nonTxStoreBatch that stores one word twice can, and is split.
+  /// The words in a line. A commit's run of distinct words never exceeds
+  /// it; the writer still splits a run that would.
   static constexpr size_t StoreRunMax = CacheLineBytes / 8;
 };
 
@@ -317,11 +321,18 @@ public:
     return __atomic_load_n(Addr, __ATOMIC_ACQUIRE);
   }
 
-  /// Index of the conflict-detection stripe covering \p Addr.
+  /// log2 of the stripe count.
+  static constexpr unsigned StripeTableBits = 20;
+
+  /// Index of the conflict-detection stripe covering \p Addr: the line
+  /// number, rotated by a Fibonacci hash of its table-sized window.
   size_t stripeIndex(const void *Addr) const {
-    return (reinterpret_cast<uintptr_t>(Addr) >>
-            Config.ConflictGranularityShift) &
-           TableMask;
+    uintptr_t Key =
+        reinterpret_cast<uintptr_t>(Addr) >> Config.ConflictGranularityShift;
+    uint64_t Rotation = ((uint64_t)(Key >> StripeTableBits) *
+                         0x9e3779b97f4a7c15ull) >>
+                        (64 - StripeTableBits);
+    return (Key + Rotation) & TableMask;
   }
 
 private:
@@ -329,11 +340,14 @@ private:
 
   /// A stripe is either a version (LSB 0; version = clock value << 1) or a
   /// lock owned by a committing transaction (LSB 1; owner = ptr | 1).
-  /// Line-indexed, not hashed: consecutive lines get consecutive stripes
-  /// (eight to a table cache line, so a transaction's neighbouring lines
-  /// share cache misses), and two lines alias only when they are a whole
-  /// table apart -- 2^20 lines, 64 MiB at line granularity (DESIGN.md
-  /// Section 7.4).
+  /// Line-indexed, not hashed: consecutive lines of a window get
+  /// consecutive stripes (eight to a table cache line, so a transaction's
+  /// neighbouring lines share cache misses), and no two lines of one
+  /// aligned 2^20-line window (64 MiB at line granularity) alias. Each
+  /// window is rotated by its own offset, and any two windows less than
+  /// 2^18 windows apart by different ones, so lines a whole number of
+  /// windows apart -- same-offset objects of equal power-of-two arenas --
+  /// never alias (DESIGN.md Section 7.4).
   std::atomic<uint64_t> &stripeFor(const void *Addr) {
     return Table[stripeIndex(Addr)];
   }

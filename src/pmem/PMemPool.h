@@ -71,7 +71,9 @@ struct PMemConfig {
   /// spontaneous cache eviction. 0 disables. Still a per-word probability
   /// when stores arrive in same-line runs (PMemPool::onCommittedRun): each
   /// word of a run draws once, at the end of the run, and any hit writes
-  /// the line back as the run left it.
+  /// the line back as the run left it. Only an HTM commit, whose stores
+  /// become visible together, reports runs longer than one word; a
+  /// non-transactional batch can be evicted after any of its stores.
   uint32_t EvictionPerMillion = 0;
   uint64_t EvictionSeed = 42;
   /// Maximum threads that may issue CLWBs (per-thread pending queues).

@@ -309,26 +309,36 @@ TEST_F(HtmTest, ReadOnlyCommitNeedsNoClockTick) {
 
 TEST_F(HtmTest, StripesAreLineIndexed) {
   makeRuntime();
-  constexpr size_t TableLines = size_t(1) << 20;
-  // One stripe table's worth of lines apart: 64 MiB of address space, of
-  // which only the two lines used are ever touched.
-  constexpr size_t Stride = TableLines * CacheLineBytes;
-  std::unique_ptr<uint8_t[]> Mem(new uint8_t[Stride + 2 * CacheLineBytes]);
-  auto *A = reinterpret_cast<uint64_t *>(
-      (reinterpret_cast<uintptr_t>(Mem.get()) + CacheLineBytes - 1) &
-      ~(uintptr_t)(CacheLineBytes - 1));
-  auto *B = A + Stride / 8;
+  constexpr size_t TableLines = size_t(1) << HtmRuntime::StripeTableBits;
+  constexpr size_t LineWords = CacheLineBytes / 8;
+  // One window is a stripe table's worth of lines: 64 MiB of address
+  // space. A is the 16th line before a window boundary; Mem covers it and
+  // the whole window after it, of which only the few lines used are ever
+  // touched.
+  constexpr size_t Window = TableLines * CacheLineBytes;
+  std::unique_ptr<uint8_t[]> Mem(new uint8_t[2 * Window + 16 * CacheLineBytes]);
+  auto *NextWindow = reinterpret_cast<uint64_t *>(
+      (reinterpret_cast<uintptr_t>(Mem.get()) + 16 * CacheLineBytes +
+       Window - 1) &
+      ~(uintptr_t)(Window - 1));
+  uint64_t *A = NextWindow - 16 * LineWords;
 
-  // Adjacent lines: distinct, consecutive stripes (modulo the table).
+  // Adjacent lines of a window: distinct, consecutive stripes (modulo the
+  // table).
   size_t First = Rt->stripeIndex(A);
   for (size_t L = 1; L != 16; ++L)
-    EXPECT_EQ(Rt->stripeIndex(A + L * (CacheLineBytes / 8)),
-              (First + L) % TableLines)
+    EXPECT_EQ(Rt->stripeIndex(A + L * LineWords), (First + L) % TableLines)
         << "line " << L;
   // Words of one line share its stripe.
   EXPECT_EQ(Rt->stripeIndex(A + 7), First);
-  // Aliasing happens exactly at the table stride.
-  EXPECT_EQ(Rt->stripeIndex(B), First);
+  // Lines exactly one window apart -- same-offset lines of two equal
+  // 64 MiB arenas -- do not share a stripe: windows are rotated apart.
+  EXPECT_NE(Rt->stripeIndex(A + TableLines * LineWords), First);
+  // Each window still covers every stripe once: A's alias in the next
+  // window is the line at A's stripe minus that window's first stripe.
+  size_t AliasLine = (First - Rt->stripeIndex(NextWindow)) & (TableLines - 1);
+  uint64_t *B = NextWindow + AliasLine * LineWords;
+  ASSERT_EQ(Rt->stripeIndex(B), First);
 
   // Reading A and writing B locks the stripe the read set recorded. The
   // clock bump inside the body forces commit-time validation, which must

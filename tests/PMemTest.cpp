@@ -432,7 +432,7 @@ TEST(WriteBackTracking, LastRunOfTheWriteSetIsReported) {
   EXPECT_TRUE(H.Pool.isLineDirty(C));
 }
 
-TEST(WriteBackTracking, BatchRunSplitsWhenFull) {
+TEST(WriteBackTracking, BatchReportsOneWordRuns) {
   WriteBackHarness H;
   StoreRecorder Rec;
   H.Pool.setObserver(&Rec);
@@ -446,12 +446,47 @@ TEST(WriteBackTracking, BatchRunSplitsWhenFull) {
   }
   H.Htm.nonTxStoreBatch(Addrs, Vals, 10);
   H.Pool.setObserver(nullptr);
-  EXPECT_EQ(H.Runs, (std::vector<size_t>{8, 2}));
+  EXPECT_EQ(H.Runs, std::vector<size_t>(10, 1));
   ASSERT_EQ(Rec.Stores.size(), 10u);
   EXPECT_EQ(Rec.Stores[8].OldVal, 200u);
   EXPECT_EQ(Rec.Stores[8].NewVal, 208u);
   EXPECT_EQ(L[0], 208u);
   EXPECT_EQ(L[2], 202u);
+}
+
+TEST(WriteBackTracking, EvictionCanPersistAPrefixOfABatch) {
+  WriteBackHarness H(/*EvictionPerMillion=*/1000000);
+  /// Records the line's persisted image at every eviction.
+  class ImageAtEviction : public StoreRecorder {
+  public:
+    ImageAtEviction(PMemPool &Pool, uint64_t *Line) : Pool(Pool), Line(Line) {}
+    void onEvict(const void *) override {
+      std::vector<uint64_t> Image;
+      for (size_t I = 0; I != 8; ++I)
+        Image.push_back(imageWordAt(Pool, &Line[I]));
+      Images.push_back(Image);
+    }
+    PMemPool &Pool;
+    uint64_t *Line;
+    std::vector<std::vector<uint64_t>> Images;
+  };
+  uint64_t *L = H.cleanLine();
+  ImageAtEviction Rec(H.Pool, L);
+  H.Pool.setObserver(&Rec);
+  uint64_t *Addrs[8];
+  uint64_t Vals[8];
+  for (size_t I = 0; I != 8; ++I) {
+    Addrs[I] = &L[I];
+    Vals[I] = 100 + I;
+  }
+  H.Htm.nonTxStoreBatch(Addrs, Vals, 8);
+  H.Pool.setObserver(nullptr);
+  // Every store is followed by its own eviction, so the image passes
+  // through each prefix of the batch: words [0, K] new, the rest old.
+  ASSERT_EQ(Rec.Images.size(), 8u);
+  for (size_t K = 0; K != 8; ++K)
+    for (size_t I = 0; I != 8; ++I)
+      EXPECT_EQ(Rec.Images[K][I], I <= K ? 100 + I : I + 1) << K << " " << I;
 }
 
 TEST(WriteBackTracking, EvictionWritesBackTheLineAsTheRunLeftIt) {
