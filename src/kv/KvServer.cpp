@@ -189,10 +189,10 @@ void KvServer::workerLoop(unsigned W) {
     commitCycle(Wk);
     if (Stop) {
       // Exit only once no cross-worker work can still land in the inbox:
-      // scatter-gather pieces and their completions are all counted.
+      // STATS pieces and their completions are all counted.
       MutexLock Lk(Wk.InboxMu);
       if (Wk.Inbox.empty() &&
-          CrossInFlight.load(std::memory_order_acquire) == 0)
+          StatsInFlight.load(std::memory_order_acquire) == 0)
         break;
     }
   }
@@ -257,7 +257,7 @@ void KvServer::closeConn(Worker &Wk, Conn &C) {
   ::epoll_ctl(Wk.EpollFd, EPOLL_CTL_DEL, C.Fd, nullptr);
   ::close(C.Fd);
   C.Fd = -1;
-  // Outstanding scatter-gather requests keep their SgRequest alive via
+  // Outstanding STATS requests keep their StatsRequest alive via
   // shared_ptr; their completions will find no connection and drop.
   // The Conn object itself must outlive the cycle: staged operations may
   // hold destinations inside its slots, so it moves to the graveyard and
@@ -328,22 +328,9 @@ void KvServer::readReady(Worker &Wk, Conn &C) {
       return;
     }
     Off += R.Consumed;
-    handleRequest(Wk, C, std::move(Req), ArrivalNs);
+    dispatchRequest(Wk, C, std::move(Req), ArrivalNs);
   }
   C.In.erase(0, Off);
-}
-
-void KvServer::handleRequest(Worker &Wk, Conn &C, KvRequest &&Req,
-                             uint64_t NowNs) {
-  // A request behind an in-flight cross-shard operation of the same
-  // connection waits for it: its effects must be visible (and durable)
-  // before anything later executes. Parked before a slot exists --
-  // finishSg replays in FIFO order, so slot order stays request order.
-  if (C.SgInFlight) {
-    C.Parked.push_back(ParkedReq{std::move(Req), NowNs});
-    return;
-  }
-  dispatchRequest(Wk, C, std::move(Req), NowNs);
 }
 
 void KvServer::dispatchRequest(Worker &Wk, Conn &C, KvRequest &&Req,
@@ -380,7 +367,6 @@ void KvServer::dispatchRequest(Worker &Wk, Conn &C, KvRequest &&Req,
     }
     // Stage the operation; the commit point executes it inside the
     // shard's cycle batch. The slot owns the payload the views target.
-    unsigned Shard = Store.shardOf(Req.Key);
     S.Op = Req.Op;
     S.ArrivalNs = NowNs;
     S.Val = std::move(Req.Val);
@@ -400,10 +386,7 @@ void KvServer::dispatchRequest(Worker &Wk, Conn &C, KvRequest &&Req,
       S.Statuses.assign(1, KvStatus::Err);
       Op.Status = &S.Statuses[0];
     }
-    // A single-shard request runs locally even on a foreign shard: the
-    // handoff would cost more than shard affinity buys.
-    Wk.StagedOps[Shard].push_back(Op);
-    ++Wk.S.OpsPerShard[Shard];
+    stage(Wk, Op);
     Served.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -412,60 +395,26 @@ void KvServer::dispatchRequest(Worker &Wk, Conn &C, KvRequest &&Req,
     break;
   }
 
-  // Multi-key: stage on this worker unless the keys span shards owned
-  // by other workers (then scatter-gather).
-  size_t N = Req.Op == KvOp::Mget ? Req.Keys.size() : Req.Pairs.size();
-  if (N == 0) {
-    if (Req.Op == KvOp::Mget)
-      appendValuesHeader(S.Resp, 0);
-    else
-      appendStatusesHeader(S.Resp, 0);
-    S.St = Slot::Ready;
-    Served.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  std::vector<std::vector<uint32_t>> ByShard(Store.numShards());
-  bool Local = true;
-  for (uint32_t I = 0; I != (uint32_t)N; ++I) {
-    // Skimmed MSET pairs are answered `ERR toobig` in place and never
-    // staged (their payload was discarded by the parser).
-    if (Req.Op == KvOp::Mset && I < Req.PairTooLarge.size() &&
-        Req.PairTooLarge[I])
-      continue;
-    uint64_t Key =
-        Req.Op == KvOp::Mget ? Req.Keys[I] : Req.Pairs[I].first;
-    unsigned Shard = Store.shardOf(Key);
-    if (ByShard[Shard].empty())
-      Local &= shardWorker(Shard) == Wk.Idx;
-    ByShard[Shard].push_back(I);
-  }
-  unsigned Groups = 0;
-  for (const auto &G : ByShard)
-    Groups += !G.empty();
-  if (!Local && Groups > 1)
-    return startScatterGather(Wk, C, S, std::move(Req), ByShard, NowNs);
-
-  // Local multi-key: stage each key on its shard in request order. The
+  // Multi-key: stage each key on its shard in request order. The
   // per-shard lists keep arrival order, so the rendered response is
   // consistent with every earlier staged operation.
   S.Op = Req.Op;
   S.ArrivalNs = NowNs;
   if (Req.Op == KvOp::Mget) {
-    std::vector<uint64_t> Keys = std::move(Req.Keys);
-    S.Results.resize(N);
-    for (uint32_t I = 0; I != (uint32_t)N; ++I) {
+    S.Results.resize(Req.Keys.size());
+    for (size_t I = 0; I != Req.Keys.size(); ++I) {
       KvCycleOp Op;
       Op.K = KvCycleOp::Get;
-      Op.Key = Keys[I];
+      Op.Key = Req.Keys[I];
       Op.Result = &S.Results[I];
-      unsigned Shard = Store.shardOf(Op.Key);
-      Wk.StagedOps[Shard].push_back(Op);
-      ++Wk.S.OpsPerShard[Shard];
+      stage(Wk, Op);
     }
   } else {
     S.Pairs = std::move(Req.Pairs);
-    S.Statuses.assign(N, KvStatus::Err);
-    for (uint32_t I = 0; I != (uint32_t)N; ++I) {
+    S.Statuses.assign(S.Pairs.size(), KvStatus::Err);
+    for (size_t I = 0; I != S.Pairs.size(); ++I) {
+      // Skimmed pairs are answered `ERR toobig` in place and never staged
+      // (the parser discarded their payload).
       if (I < Req.PairTooLarge.size() && Req.PairTooLarge[I]) {
         S.Statuses[I] = KvStatus::TooBig;
         continue;
@@ -475,48 +424,16 @@ void KvServer::dispatchRequest(Worker &Wk, Conn &C, KvRequest &&Req,
       Op.Key = S.Pairs[I].first;
       Op.Val = S.Pairs[I].second;
       Op.Status = &S.Statuses[I];
-      unsigned Shard = Store.shardOf(Op.Key);
-      Wk.StagedOps[Shard].push_back(Op);
-      ++Wk.S.OpsPerShard[Shard];
+      stage(Wk, Op);
     }
   }
   Served.fetch_add(1, std::memory_order_relaxed);
 }
 
-void KvServer::executeStaged(Worker &Wk) {
-  bool Any = false;
-  for (const auto &Ops : Wk.StagedOps)
-    if (!Ops.empty()) {
-      Any = true;
-      break;
-    }
-  if (!Any)
-    return;
-  uint64_t T1 = monotonicNanos();
-  for (unsigned S = 0; S != (unsigned)Wk.StagedOps.size(); ++S) {
-    std::vector<KvCycleOp> &Ops = Wk.StagedOps[S];
-    if (Ops.empty())
-      continue;
-    if (Store.shard(S).runCycle(Wk.Idx, Ops.data(), Ops.size()))
-      Wk.Touched[S] = 1;
-    Ops.clear();
-  }
-  uint64_t T2 = monotonicNanos();
-  Wk.S.ExecuteNs += T2 - T1;
-  // Stamp the slots this execution covered: queue wait is arrival to
-  // first execution, and ExecEndNs anchors commit-wait at release.
-  for (uint64_t Id : Wk.DirtyConns) {
-    auto It = Wk.Conns.find(Id);
-    if (It == Wk.Conns.end())
-      continue;
-    for (Slot &S : It->second->Pending) {
-      if (S.St != Slot::Staged || S.ExecEndNs)
-        continue;
-      S.ExecEndNs = T2;
-      Wk.S.QueueWaitNs += T1 - std::min(S.ArrivalNs, T1);
-      S.ArrivalNs = 0;
-    }
-  }
+void KvServer::stage(Worker &Wk, const KvCycleOp &Op) {
+  unsigned Shard = Store.shardOf(Op.Key);
+  Wk.StagedOps[Shard].push_back(Op);
+  ++Wk.S.OpsPerShard[Shard];
 }
 
 void KvServer::renderSlotResponse(Slot &S) {
@@ -561,130 +478,8 @@ void KvServer::renderSlotResponse(Slot &S) {
 }
 
 //===----------------------------------------------------------------------===//
-// Scatter-gather (cross-shard MGET/MSET, STATS)
+// STATS fan-out
 //===----------------------------------------------------------------------===//
-
-void KvServer::startScatterGather(
-    Worker &Wk, Conn &C, Slot &S, KvRequest &&Req,
-    const std::vector<std::vector<uint32_t>> &ByShard, uint64_t NowNs) {
-  // Flush the staged batches first: pieces posted to other workers must
-  // not overtake operations staged before this request (a pipelined SET
-  // of a key this MGET reads, for instance). The executed slots stay
-  // Staged and release at the commit point as usual.
-  executeStaged(Wk);
-  auto Sg = std::make_shared<SgRequest>();
-  Sg->Op = Req.Op;
-  Sg->OwnerWorker = Wk.Idx;
-  Sg->ConnId = C.Id;
-  Sg->SlotSeq = S.SlotSeq;
-  Sg->PostedNs = NowNs;
-  if (Req.Op == KvOp::Mget) {
-    Sg->Keys = std::move(Req.Keys);
-    Sg->Results.resize(Sg->Keys.size());
-  } else {
-    Sg->Pairs = std::move(Req.Pairs);
-    Sg->Statuses.assign(Sg->Pairs.size(), KvStatus::Err);
-    // Skimmed pairs were excluded from every piece; answer them here.
-    for (size_t I = 0;
-         I != Req.PairTooLarge.size() && I != Sg->Statuses.size(); ++I)
-      if (Req.PairTooLarge[I])
-        Sg->Statuses[I] = KvStatus::TooBig;
-  }
-  for (unsigned Shard = 0; Shard != ByShard.size(); ++Shard) {
-    if (ByShard[Shard].empty())
-      continue;
-    Sg->Pieces.emplace_back();
-    Sg->Pieces.back().Shard = Shard;
-    Sg->Pieces.back().Idx = ByShard[Shard];
-  }
-  Sg->Remaining.store((unsigned)Sg->Pieces.size(),
-                      std::memory_order_relaxed);
-  S.St = Slot::WaitingSg;
-  S.Sg = Sg;
-  ++Wk.S.SgRequests;
-  ++C.SgInFlight; // Later requests on this connection park behind it.
-  CrossInFlight.fetch_add(1, std::memory_order_acq_rel);
-  for (unsigned P = 0; P != Sg->Pieces.size(); ++P) {
-    unsigned Target = shardWorker(Sg->Pieces[P].Shard);
-    if (Target == Wk.Idx) {
-      stageSgPiece(Wk, Sg, P, NowNs);
-    } else {
-      InboxMsg Msg;
-      Msg.K = InboxMsg::SgPiece;
-      Msg.Piece = P;
-      Msg.Sg = Sg;
-      postMsg(Target, std::move(Msg));
-    }
-  }
-}
-
-void KvServer::stageSgPiece(Worker &Wk,
-                            const std::shared_ptr<SgRequest> &Sg,
-                            unsigned Piece, uint64_t NowNs) {
-  // Stage the piece's keys onto the shard's cycle batch; destinations
-  // live in the shared SgRequest, disjoint per piece. Execution happens
-  // at this worker's commit point, inside its group-commit batch.
-  const SgRequest::Piece &P = Sg->Pieces[Piece];
-  Wk.S.QueueWaitNs += NowNs - std::min(Sg->PostedNs, NowNs);
-  ++Wk.S.SgPieces;
-  for (uint32_t I : P.Idx) {
-    KvCycleOp Op;
-    if (Sg->Op == KvOp::Mget) {
-      Op.K = KvCycleOp::Get;
-      Op.Key = Sg->Keys[I];
-      Op.Result = &Sg->Results[I];
-    } else {
-      Op.K = KvCycleOp::Set;
-      Op.Key = Sg->Pairs[I].first;
-      Op.Val = Sg->Pairs[I].second;
-      Op.Status = &Sg->Statuses[I];
-    }
-    Wk.StagedOps[P.Shard].push_back(Op);
-  }
-  Wk.S.OpsPerShard[P.Shard] += P.Idx.size();
-  // The completion decrement waits for this cycle's execution and
-  // barrier: a piece is reported done only once its writes are durable.
-  Wk.PieceDecs.push_back(Sg);
-}
-
-void KvServer::finishSg(Worker &Wk, const std::shared_ptr<SgRequest> &Sg) {
-  CrossInFlight.fetch_sub(1, std::memory_order_acq_rel);
-  auto It = Wk.Conns.find(Sg->ConnId);
-  if (It == Wk.Conns.end())
-    return; // Connection closed while the request was in flight.
-  Conn &C = *It->second;
-  for (Slot &S : C.Pending) {
-    if (S.SlotSeq != Sg->SlotSeq)
-      continue;
-    if (Sg->Op == KvOp::Mget) {
-      appendValuesHeader(S.Resp, Sg->Results.size());
-      for (const KvResult &R : Sg->Results) {
-        if (R.Status == KvStatus::Ok)
-          appendValue(S.Resp, R.Value);
-        else
-          appendNotFound(S.Resp);
-      }
-    } else {
-      appendStatusesHeader(S.Resp, Sg->Statuses.size());
-      for (KvStatus St : Sg->Statuses)
-        appendStatus(S.Resp, St);
-    }
-    S.St = Slot::Ready;
-    S.Sg.reset();
-    Wk.S.CommitWaitNs += monotonicNanos() - Sg->PostedNs;
-    Served.fetch_add(1, std::memory_order_relaxed);
-    markDirty(Wk, C);
-    break;
-  }
-  // Replay requests parked behind this scatter-gather, in order. A
-  // replayed cross-shard request re-parks whatever is still behind it.
-  --C.SgInFlight;
-  while (!C.Parked.empty() && C.SgInFlight == 0 && C.Fd >= 0) {
-    ParkedReq P = std::move(C.Parked.front());
-    C.Parked.pop_front();
-    dispatchRequest(Wk, C, std::move(P.Req), P.ArrivalNs);
-  }
-}
 
 void KvServer::startStats(Worker &Wk, Conn &C, Slot &S) {
   auto St = std::make_shared<StatsRequest>();
@@ -695,9 +490,9 @@ void KvServer::startStats(Worker &Wk, Conn &C, Slot &S) {
   St->Htm.assign(NumWorkers,
                  std::vector<HtmStats>(Store.numShards()));
   St->Remaining.store(NumWorkers, std::memory_order_relaxed);
-  S.St = Slot::WaitingSg;
+  S.St = Slot::WaitingStats;
   S.Stats = St;
-  CrossInFlight.fetch_add(1, std::memory_order_acq_rel);
+  StatsInFlight.fetch_add(1, std::memory_order_acq_rel);
   for (unsigned W = 0; W != NumWorkers; ++W) {
     if (W == Wk.Idx)
       continue;
@@ -746,8 +541,6 @@ std::string KvServer::formatStatsJson(const StatsRequest &St) {
         .field("commit_wait_ns", S.CommitWaitNs)
         .field("barriers", S.Barriers)
         .field("barrier_ns", S.BarrierNs)
-        .field("sg_requests", S.SgRequests)
-        .field("sg_pieces", S.SgPieces)
         .key("ops_per_shard")
         .beginArray();
     for (unsigned Sh = 0; Sh != Store.numShards(); ++Sh)
@@ -782,7 +575,7 @@ std::string KvServer::formatStatsJson(const StatsRequest &St) {
 
 void KvServer::finishStats(Worker &Wk,
                            const std::shared_ptr<StatsRequest> &St) {
-  CrossInFlight.fetch_sub(1, std::memory_order_acq_rel);
+  StatsInFlight.fetch_sub(1, std::memory_order_acq_rel);
   auto It = Wk.Conns.find(St->ConnId);
   if (It == Wk.Conns.end())
     return;
@@ -819,17 +612,10 @@ void KvServer::processInbox(Worker &Wk) {
     MutexLock Lk(Wk.InboxMu);
     Batch.swap(Wk.Inbox);
   }
-  uint64_t NowNs = Batch.empty() ? 0 : monotonicNanos();
   for (InboxMsg &Msg : Batch) {
     switch (Msg.K) {
     case InboxMsg::NewConn:
       adoptConn(Wk, Msg.Fd);
-      break;
-    case InboxMsg::SgPiece:
-      stageSgPiece(Wk, Msg.Sg, Msg.Piece, NowNs);
-      break;
-    case InboxMsg::SgDone:
-      finishSg(Wk, Msg.Sg);
       break;
     case InboxMsg::StatsPiece:
       fillStatsContribution(Wk, Msg.Stats);
@@ -842,23 +628,23 @@ void KvServer::processInbox(Worker &Wk) {
 }
 
 void KvServer::commitCycle(Worker &Wk) {
-  // Rounds: completing scatter-gather pieces can unpark requests that
-  // stage more work (finishSg replay), so repeat until quiescent before
-  // releasing responses.
-  while (true) {
-    bool Any = false;
-    for (const auto &Ops : Wk.StagedOps)
-      if (!Ops.empty()) {
-        Any = true;
-        break;
-      }
-    if (!Any && Wk.PieceDecs.empty())
-      break;
-    // 1. Execute this round's staged batches (one runCycle per shard).
-    executeStaged(Wk);
-    // 2. Group commit: one persist barrier on every shard this round
-    //    wrote.
-    uint64_t T0 = monotonicNanos();
+  // 1. Execute the staged batches, one runCycle per shard, each in
+  //    arrival order.
+  uint64_t ExecStartNs = 0, ExecEndNs = 0;
+  for (unsigned S = 0; S != (unsigned)Wk.StagedOps.size(); ++S) {
+    std::vector<KvCycleOp> &Ops = Wk.StagedOps[S];
+    if (Ops.empty())
+      continue;
+    if (!ExecStartNs)
+      ExecStartNs = monotonicNanos();
+    if (Store.shard(S).runCycle(Wk.Idx, Ops.data(), Ops.size()))
+      Wk.Touched[S] = 1;
+    Ops.clear();
+  }
+  if (ExecStartNs) {
+    ExecEndNs = monotonicNanos();
+    Wk.S.ExecuteNs += ExecEndNs - ExecStartNs;
+    // 2. Group commit: one persist barrier on every shard the cycle wrote.
     uint64_t Barriers = 0;
     for (unsigned S = 0; S != (unsigned)Wk.Touched.size(); ++S) {
       if (!Wk.Touched[S])
@@ -869,34 +655,17 @@ void KvServer::commitCycle(Worker &Wk) {
     }
     if (Barriers) {
       Wk.S.Barriers += Barriers;
-      Wk.S.BarrierNs += monotonicNanos() - T0;
-    }
-    // 3. Report scatter-gather pieces done -- only now that their writes
-    //    are durable. The last piece routes completion to the owner;
-    //    finishSg may replay parked requests, staging the next round.
-    std::vector<std::shared_ptr<SgRequest>> Decs;
-    Decs.swap(Wk.PieceDecs);
-    for (auto &Sg : Decs) {
-      if (Sg->Remaining.fetch_sub(1, std::memory_order_acq_rel) != 1)
-        continue;
-      if (Sg->OwnerWorker == Wk.Idx) {
-        finishSg(Wk, Sg);
-      } else {
-        InboxMsg Msg;
-        Msg.K = InboxMsg::SgDone;
-        Msg.Sg = Sg;
-        postMsg(Sg->OwnerWorker, std::move(Msg));
-      }
+      Wk.S.BarrierNs += monotonicNanos() - ExecEndNs;
     }
   }
-  // 4. Release every response staged this cycle (ack follows
+  // 3. Release every response staged this cycle (ack follows
   //    durability): render it from its executed destinations, then
-  //    transmit ready runs with writev.
+  //    transmit ready runs with writev. Nothing here marks a connection
+  //    dirty, so the list is walked in place and cleared, keeping its
+  //    capacity for the next cycle.
   if (!Wk.DirtyConns.empty()) {
     uint64_t CommitNs = monotonicNanos();
-    std::vector<uint64_t> Dirty;
-    Dirty.swap(Wk.DirtyConns);
-    for (uint64_t Id : Dirty) {
+    for (uint64_t Id : Wk.DirtyConns) {
       auto It = Wk.Conns.find(Id);
       if (It == Wk.Conns.end())
         continue;
@@ -907,13 +676,17 @@ void KvServer::commitCycle(Worker &Wk) {
           continue;
         renderSlotResponse(S);
         S.St = Slot::Ready;
-        if (S.ExecEndNs)
-          Wk.S.CommitWaitNs += CommitNs - std::min(S.ExecEndNs, CommitNs);
+        if (ExecStartNs) {
+          Wk.S.QueueWaitNs +=
+              ExecStartNs - std::min(S.ArrivalNs, ExecStartNs);
+          Wk.S.CommitWaitNs += CommitNs - ExecEndNs;
+        }
       }
       flushConn(Wk, C);
     }
+    Wk.DirtyConns.clear();
   }
-  // 5. Closed connections can die now: no staged operation can still
+  // 4. Closed connections can die now: no staged operation can still
   //    point into their slots.
   Wk.Doomed.clear();
 }

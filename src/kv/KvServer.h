@@ -8,71 +8,54 @@
 /// \file
 /// The KV service front end: a loopback TCP server speaking the
 /// kv/KvProtocol.h line protocol over a KvStore, structured as a
-/// share-nothing worker model (one worker per shard).
+/// share-nothing worker model.
 ///
 /// Threading model:
 ///
-///  - One worker thread per shard, capped at the machine's core count
-///    (KvServerConfig::Workers overrides; shard S belongs to worker
-///    S % workers). Each worker owns its slice of the network outright:
-///    its own epoll loop, its own connections, its own buffers. Worker 0
-///    additionally owns the listening socket and hands accepted fds to
-///    workers round-robin -- the handoff at accept time is the only
-///    moment a connection ever crosses threads. The cap matters on small
-///    machines: more workers than cores just converts group-commit
-///    batching into context switches.
+///  - Worker threads, one per shard capped at the machine's core count
+///    (KvServerConfig::Workers overrides). Workers own no shards; each
+///    owns its slice of the network outright: its own epoll loop, its
+///    own connections, its own buffers. Worker 0 additionally owns the
+///    listening socket and hands accepted fds to workers round-robin --
+///    the handoff at accept time is the only moment a connection ever
+///    crosses threads. The cap matters on small machines: more workers
+///    than cores just converts group-commit batching into context
+///    switches.
 ///
-///  - A single-shard request (GET/SET/DEL/CAS, and any MGET/MSET whose
-///    keys all land on one shard) is parsed, executed, group-committed
-///    and answered entirely on the worker owning its connection, which
-///    uses transaction context Tid = its worker index on whatever shard
-///    the key routes to. Contexts are never shared (hence the store must
-///    be built with ThreadsPerShard >= the shard count), and the request
-///    never crosses a thread: no dispatch queue, no completion queue, no
-///    wakeup syscalls on the request path.
-///
-///  - Only an MGET/MSET whose keys span shards owned by OTHER workers
-///    scatter-gathers: the owning worker splits it into per-shard pieces
-///    posted to each shard's worker, and a per-request atomic completion
-///    counter -- decremented by each piece worker only after its
-///    group-commit barrier -- triggers the response. There is no global
-///    re-sequencing queue. A multi-shard request whose shards all map to
-///    the connection's worker (always, when one worker owns every shard)
-///    executes inline like the single-shard case.
+///  - Every request, MGET and MSET across shards included, is parsed,
+///    executed, group-committed and answered entirely on the worker
+///    owning its connection, which uses transaction context Tid = its
+///    worker index on every shard it touches. Contexts are never shared
+///    (hence the store must be built with ThreadsPerShard >= the worker
+///    count), and a request never crosses a thread: no dispatch queue,
+///    no completion queue, no wakeup syscalls on the request path.
 ///
 ///  - Group commit per worker, at the transaction level too: requests
 ///    are not executed as they parse. Each one *stages* its operations
-///    onto its shard's per-cycle list, and the cycle's commit point runs
+///    onto its shards' per-cycle lists, and the cycle's commit point runs
 ///    one chunked transaction batch per shard (KvShard::runCycle) --
 ///    the whole cycle costs a handful of transactions instead of one
-///    per request, which is what lets N shards on one core match one
-///    shard. Then ONE persist barrier per touched shard runs in two
-///    phases (begin all, then end all), so the shards' fixed drain
-///    latencies overlap instead of serializing, and only then are the
-///    cycle's responses released (writes are never acknowledged before
-///    they are durable).
+///    per request. Then one persist barrier per touched shard, and only
+///    then are the cycle's responses released (writes are never
+///    acknowledged before they are durable).
 ///
-///  - Response ordering is per-connection and trivially correct: a
-///    connection lives on exactly one worker, which appends one response
-///    slot per request to the connection's pending deque in parse order
-///    and transmits ready slots strictly from the front (batched with
-///    writev). A slot awaiting scatter-gather completion simply holds
-///    the line. Execution order matches too: staged operations run in
-///    arrival order within each shard, a scatter-gather first flushes
-///    the staged batches so its pieces cannot overtake earlier staged
-///    writes, and requests arriving behind an in-flight scatter-gather
-///    on the same connection are parked until it completes -- so a
-///    pipelined GET always sees the pipelined SET before it, even
-///    across the cross-shard path.
+///  - Ordering is per connection: a connection lives on exactly one
+///    worker, which appends one response slot per request to the
+///    connection's pending deque in parse order and transmits ready
+///    slots strictly from the front (batched with writev). Staged
+///    operations run in arrival order within each shard, so a pipelined
+///    GET always sees the pipelined SET or MSET before it.
 ///
-///  - STATS requests scatter to every worker too: each worker reports
+///  - STATS requests fan out to every worker: each worker reports
 ///    counters only it writes (its request timing breakdown, its per-
 ///    shard op counts, its transaction contexts' HTM statistics), so the
-///    document is assembled without cross-thread reads of hot state.
+///    document is assembled without cross-thread reads of hot state. A
+///    STATS slot holds its connection's later responses until the
+///    document is complete.
 ///
 /// Shutdown is graceful: stop() wakes every worker; each drains its
-/// inbox until no scatter-gather work is in flight anywhere, flushes
-/// every connection's pending output, then exits.
+/// inbox until no STATS request is in flight anywhere, flushes every
+/// connection's pending output, then exits.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -99,10 +82,9 @@ struct KvServerConfig {
   uint16_t Port = 0;
   /// Read-buffer bytes above which a connection is dropped as abusive.
   size_t MaxBufferedBytes = 4 << 20;
-  /// Worker threads; 0 means autoWorkerCount(). More workers than shards
-  /// never helps and is clamped down; fewer concentrates several shards
-  /// on one worker (tests set this explicitly to force the cross-worker
-  /// scatter-gather paths regardless of the machine).
+  /// Worker threads; 0 means autoWorkerCount(). Clamped to the shard
+  /// count (tests set it explicitly to run several workers regardless of
+  /// the machine).
   unsigned Workers = 0;
 };
 
@@ -123,8 +105,8 @@ public:
 
   /// Binds, listens and launches the worker threads.
   void start();
-  /// Graceful shutdown: stop accepting, drain in-flight scatter-gather
-  /// work, flush and close every connection, join all threads. Idempotent.
+  /// Graceful shutdown: stop accepting, drain in-flight STATS requests,
+  /// flush and close every connection, join all threads. Idempotent.
   void stop();
 
   /// The bound port (valid after start()).
@@ -136,40 +118,16 @@ public:
 private:
   /// Counters a worker updates as it serves requests. Written only by
   /// the owning worker; other threads see them only through the STATS
-  /// scatter, where the owner itself copies them out.
+  /// fan-out, where the owner itself copies them out.
   struct WorkerStats {
     uint64_t Requests = 0;     ///< Requests whose response this worker built.
-    uint64_t QueueWaitNs = 0;  ///< Arrival (or piece post) to execution start.
+    uint64_t QueueWaitNs = 0;  ///< Arrival to execution start.
     uint64_t ExecuteNs = 0;    ///< Inside store transactions.
     uint64_t CommitWaitNs = 0; ///< Execution end to response release.
     uint64_t Barriers = 0;     ///< persistAck calls issued.
     uint64_t BarrierNs = 0;    ///< Time inside persistAck.
-    uint64_t SgRequests = 0;   ///< Cross-shard requests this worker owned.
-    uint64_t SgPieces = 0;     ///< Scatter-gather pieces executed here.
     uint64_t ConnsAccepted = 0;
     std::vector<uint64_t> OpsPerShard; ///< Executions against each shard.
-  };
-
-  /// One cross-shard MGET/MSET in flight. Shared by the owner's response
-  /// slot and every piece message; disjoint Results/Statuses indices are
-  /// written by distinct piece workers, and Remaining's release/acquire
-  /// ordering publishes them to the owner.
-  struct SgRequest {
-    KvOp Op = KvOp::Mget;
-    unsigned OwnerWorker = 0;
-    uint64_t ConnId = 0;
-    uint64_t SlotSeq = 0;
-    uint64_t PostedNs = 0;
-    std::vector<uint64_t> Keys;                          // Mget.
-    std::vector<std::pair<uint64_t, std::string>> Pairs; // Mset.
-    struct Piece {
-      unsigned Shard = 0;
-      std::vector<uint32_t> Idx; // Original positions of this shard's keys.
-    };
-    std::vector<Piece> Pieces;
-    std::vector<KvResult> Results;  // Mget, by original position.
-    std::vector<KvStatus> Statuses; // Mset, by original position.
-    std::atomic<unsigned> Remaining{0};
   };
 
   /// One STATS request in flight: every worker deposits its contribution
@@ -191,31 +149,22 @@ private:
   /// commit point executes the batch and renders the response.
   struct Slot {
     enum State : uint8_t {
-      Staged,    ///< Ops staged; executed + released at the commit point.
-      WaitingSg, ///< Awaiting scatter-gather completion.
-      Ready      ///< Transmittable.
+      Staged,       ///< Ops staged; executed + released at the commit point.
+      WaitingStats, ///< Awaiting the STATS fan-out.
+      Ready         ///< Transmittable.
     };
     State St = Staged;
     bool CloseAfter = false; ///< QUIT / protocol error: close once sent.
     KvOp Op = KvOp::Ping;    ///< Renders a Staged slot's response.
     uint64_t SlotSeq = 0;
-    uint64_t ArrivalNs = 0; ///< Queue-wait accounting (0 = accounted).
-    uint64_t ExecEndNs = 0; ///< For commit-wait accounting (0 = not run).
+    uint64_t ArrivalNs = 0; ///< For queue-wait accounting.
     std::string Resp;
     std::string Val;    ///< SET value / CAS desired (staged view target).
     std::string Expect; ///< CAS expected value.
     std::vector<std::pair<uint64_t, std::string>> Pairs; ///< MSET payload.
     std::vector<KvResult> Results;  ///< GET/MGET destinations.
     std::vector<KvStatus> Statuses; ///< SET/DEL/CAS/MSET destinations.
-    std::shared_ptr<SgRequest> Sg;
     std::shared_ptr<StatsRequest> Stats;
-  };
-
-  /// A request parked behind an in-flight scatter-gather on the same
-  /// connection (see Conn::Parked).
-  struct ParkedReq {
-    KvRequest Req;
-    uint64_t ArrivalNs = 0;
   };
 
   struct Conn {
@@ -225,33 +174,18 @@ private:
     std::string OutBuf; ///< Partially transmitted bytes (writev carry).
     std::deque<Slot> Pending;
     uint64_t NextSlotSeq = 0;
-    /// Cross-shard requests of this connection still in flight. While
-    /// nonzero, later requests are parked (Parked) and replayed once the
-    /// scatter-gather completes: a pipelined operation behind a
-    /// cross-shard write must not execute until that write is durable
-    /// everywhere, preserving per-connection program order.
-    unsigned SgInFlight = 0;
-    std::deque<ParkedReq> Parked;
     bool Draining = false;  ///< Stop parsing (fatal protocol error seen).
     bool WantWrite = false; ///< EPOLLOUT currently armed.
     bool Dirty = false;     ///< Listed in Worker::DirtyConns.
   };
 
-  /// Cross-worker message. NewConn carries a just-accepted fd; SgPiece /
-  /// SgDone / StatsPiece / StatsDone move scatter-gather work and its
-  /// completions (always to the shard owner resp. the request owner).
+  /// Cross-worker message. NewConn carries a just-accepted fd;
+  /// StatsPiece asks a worker for its STATS contribution and StatsDone
+  /// returns the completed request to its owner.
   struct InboxMsg {
-    enum Kind : uint8_t {
-      NewConn,
-      SgPiece,
-      SgDone,
-      StatsPiece,
-      StatsDone
-    };
+    enum Kind : uint8_t { NewConn, StatsPiece, StatsDone };
     Kind K = Kind::NewConn;
     int Fd = -1;
-    unsigned Piece = 0;
-    std::shared_ptr<SgRequest> Sg;
     std::shared_ptr<StatsRequest> Stats;
   };
 
@@ -268,13 +202,9 @@ private:
     /// Shards written during the current cycle (group-commit set).
     std::vector<uint8_t> Touched;
     /// Per-shard operations staged during the current cycle, executed as
-    /// one chunked transaction batch per shard at the commit point (or
-    /// earlier, if a scatter-gather must see them first) -- the cycle
-    /// costs a handful of transactions instead of one per request.
+    /// one chunked transaction batch per shard at the commit point -- the
+    /// cycle costs a handful of transactions instead of one per request.
     std::vector<std::vector<KvCycleOp>> StagedOps;
-    /// Scatter-gather pieces staged this cycle whose completion
-    /// decrement must wait for the commit barrier.
-    std::vector<std::shared_ptr<SgRequest>> PieceDecs;
     /// Connections whose Pending deque changed this cycle.
     std::vector<uint64_t> DirtyConns;
     /// Connections closed mid-cycle: staged operations hold pointers
@@ -284,40 +214,26 @@ private:
     std::thread Thread;
   };
 
-  /// The worker owning shard \p S (executes its scatter-gather pieces).
-  unsigned shardWorker(unsigned S) const { return S % NumWorkers; }
-
   void workerLoop(unsigned W);
   void acceptReady(Worker &Wk);
   void adoptConn(Worker &Wk, int Fd);
   void readReady(Worker &Wk, Conn &C);
-  /// Parks the request if the connection has a scatter-gather in flight,
-  /// otherwise dispatches it.
-  void handleRequest(Worker &Wk, Conn &C, KvRequest &&Req, uint64_t NowNs);
-  /// Appends the request's response slot and stages (or scatters) its
-  /// operations.
+  /// Appends the request's response slot and stages its operations.
   void dispatchRequest(Worker &Wk, Conn &C, KvRequest &&Req,
                        uint64_t NowNs);
-  /// Executes every staged per-shard batch (one runCycle per shard),
-  /// marks the shards that took writes and stamps the covered slots'
-  /// timing. Called at the commit point, and early by
-  /// startScatterGather so pieces posted to other workers cannot
-  /// overtake operations staged before them.
-  void executeStaged(Worker &Wk);
+  /// Appends \p Op to its shard's staged batch.
+  void stage(Worker &Wk, const KvCycleOp &Op);
   /// Renders a Staged slot's response from its executed destinations.
   void renderSlotResponse(Slot &S);
-  void startScatterGather(Worker &Wk, Conn &C, Slot &S, KvRequest &&Req,
-                          const std::vector<std::vector<uint32_t>> &ByShard,
-                          uint64_t NowNs);
   void startStats(Worker &Wk, Conn &C, Slot &S);
-  void stageSgPiece(Worker &Wk, const std::shared_ptr<SgRequest> &Sg,
-                    unsigned Piece, uint64_t NowNs);
   void fillStatsContribution(Worker &Wk,
                              const std::shared_ptr<StatsRequest> &St);
-  void finishSg(Worker &Wk, const std::shared_ptr<SgRequest> &Sg);
   void finishStats(Worker &Wk, const std::shared_ptr<StatsRequest> &St);
   std::string formatStatsJson(const StatsRequest &St);
   void processInbox(Worker &Wk);
+  /// The cycle's commit point: executes the staged batches (one
+  /// runCycle per shard), runs one persist barrier per shard written,
+  /// then releases the cycle's responses.
   void commitCycle(Worker &Wk);
   void flushConn(Worker &Wk, Conn &C);
   void markDirty(Worker &Wk, Conn &C);
@@ -338,9 +254,9 @@ private:
   std::atomic<bool> Stopping{false};
   std::atomic<bool> Started{false};
   std::atomic<uint64_t> Served{0};
-  /// Cross-worker requests (scatter-gather + STATS) not yet completed;
-  /// workers may not exit while any remain.
-  std::atomic<uint64_t> CrossInFlight{0};
+  /// STATS requests not yet completed; workers may not exit while any
+  /// remain.
+  std::atomic<uint64_t> StatsInFlight{0};
 
   std::vector<std::unique_ptr<Worker>> Workers;
 };

@@ -24,6 +24,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdio>
@@ -737,6 +738,84 @@ TEST(KvServerSmoke, StatsDocumentKeepsItsKeys) {
   EXPECT_EQ(Ops, 8u) << J;
 }
 
+/// Every `"Key":[...]` integer array in \p J, in document order.
+std::vector<std::vector<uint64_t>> intArrays(const std::string &J,
+                                             const std::string &Key) {
+  std::vector<std::vector<uint64_t>> Arrays;
+  std::string Pat = "\"" + Key + "\":[";
+  for (size_t P = J.find(Pat); P != std::string::npos;
+       P = J.find(Pat, P + 1)) {
+    Arrays.emplace_back();
+    for (const char *C = J.c_str() + P + Pat.size(); *C != ']';) {
+      char *End;
+      Arrays.back().push_back(std::strtoull(C, &End, 10));
+      EXPECT_NE(End, C) << Key << " holds a non-integer in " << J;
+      if (End == C)
+        break;
+      C = *End == ',' ? End + 1 : End;
+    }
+  }
+  return Arrays;
+}
+
+/// A cross-shard MGET/MSET executes on the worker that owns its
+/// connection, on every shard it touches: with four workers and one
+/// connection, only that connection's worker counts shard operations.
+TEST(KvServerSmoke, CrossShardRequestsRunOnTheConnectionsWorker) {
+  constexpr unsigned Shards = 4, Workers = 4;
+  KvConfig KC = smallConfig(Shards);
+  KC.ThreadsPerShard = Workers;
+  KvStore Store(KC);
+  KvServerConfig SC;
+  SC.Workers = Workers;
+  KvServer Server(Store, SC);
+  Server.start();
+  KvClient Client;
+  ASSERT_TRUE(Client.connect(Server.port()));
+
+  std::vector<uint64_t> Expected(Shards, 0);
+  for (uint64_t Round = 0; Round != 4; ++Round) {
+    std::vector<std::pair<uint64_t, std::string>> Pairs;
+    std::vector<uint64_t> Keys;
+    std::vector<uint8_t> Hit(Shards, 0);
+    for (uint64_t K = 8 * Round; K != 8 * Round + 8; ++K) {
+      Pairs.emplace_back(K, valueFor(K, Round));
+      Keys.push_back(K);
+      Expected[Store.shardOf(K)] += 2; // One SET and one GET.
+      Hit[Store.shardOf(K)] = 1;
+    }
+    ASSERT_GT(std::count(Hit.begin(), Hit.end(), 1), 1)
+        << "round " << Round << " must span shards";
+    std::vector<KvStatus> Statuses;
+    ASSERT_TRUE(Client.mset(Pairs, Statuses));
+    for (KvStatus St : Statuses)
+      EXPECT_EQ(St, KvStatus::Ok);
+    std::vector<std::pair<KvStatus, std::string>> Results;
+    ASSERT_TRUE(Client.mget(Keys, Results));
+    ASSERT_EQ(Results.size(), Keys.size());
+    for (size_t I = 0; I != Keys.size(); ++I)
+      EXPECT_EQ(Results[I].second, valueFor(Keys[I], Round));
+  }
+  std::string J;
+  ASSERT_TRUE(Client.stats(J));
+  Client.quit();
+  Server.stop();
+
+  std::vector<std::vector<uint64_t>> PerWorker =
+      intArrays(J, "ops_per_shard");
+  ASSERT_EQ(PerWorker.size(), Workers) << J;
+  unsigned Busy = 0;
+  for (const std::vector<uint64_t> &Ops : PerWorker) {
+    ASSERT_EQ(Ops.size(), Shards) << J;
+    if (std::all_of(Ops.begin(), Ops.end(),
+                    [](uint64_t V) { return V == 0; }))
+      continue;
+    ++Busy;
+    EXPECT_EQ(Ops, Expected) << J;
+  }
+  EXPECT_EQ(Busy, 1u) << J;
+}
+
 //===----------------------------------------------------------------------===//
 // Static/dynamic capacity consistency
 //===----------------------------------------------------------------------===//
@@ -995,23 +1074,22 @@ TEST(KvServerConcurrent, FourShardMixedLoadWithCheckers) {
   EXPECT_EQ(Store.checkerViolations(), 0u) << Details;
 }
 
-/// Cross-shard scatter-gather correctness, including the per-connection
-/// ordering guarantee for requests pipelined behind an in-flight
-/// scatter-gather: a GET queued after a cross-shard MSET on the same
-/// connection must observe the MSET, and a cross-shard MSET must observe
-/// (i.e. overwrite) a single-key SET queued just before it.
-TEST(KvServerConcurrent, CrossShardScatterGatherPipelinedOrdering) {
+/// Cross-shard MGET/MSET correctness, including the per-connection
+/// ordering guarantee for pipelined requests: a GET queued after a
+/// cross-shard MSET on the same connection must observe the MSET, and a
+/// cross-shard MSET must observe (i.e. overwrite) a single-key SET queued
+/// just before it. Run with two and with four workers.
+void crossShardPipelinedOrdering(unsigned Workers) {
   KvConfig KC = smallConfig(4);
   KC.ThreadsPerShard = 4;
   KvStore Store(KC);
   KvServerConfig SC;
-  SC.Workers = 4; // Force one worker per shard: every multi-shard
-                  // request takes the scatter-gather path.
+  SC.Workers = Workers;
   KvServer Server(Store, SC);
   Server.start();
   ASSERT_NE(Server.port(), 0);
 
-  // One key per shard, so the MSETs below span all four workers.
+  // One key per shard, so the MSETs below span all four shards.
   std::vector<uint64_t> KeyOnShard(4, ~0ull);
   for (uint64_t K = 0; K != 1000 && (KeyOnShard[0] == ~0ull ||
                                      KeyOnShard[1] == ~0ull ||
@@ -1025,8 +1103,8 @@ TEST(KvServerConcurrent, CrossShardScatterGatherPipelinedOrdering) {
   ASSERT_TRUE(Client.connect(Server.port()));
 
   // SET then cross-shard MSET of the same key, then GET, all in one
-  // flush: the staged SET must execute before the scatter-gather's
-  // pieces, and the GET must wait for the scatter-gather to finish.
+  // flush: the staged SET must execute before the MSET, and the GET
+  // after it.
   uint64_t Hot = KeyOnShard[0];
   Client.sendSet(Hot, "pre-sg");
   std::vector<std::pair<uint64_t, std::string>> Pairs;
@@ -1047,9 +1125,9 @@ TEST(KvServerConcurrent, CrossShardScatterGatherPipelinedOrdering) {
   EXPECT_EQ(Out, "sg-0"); // The MSET overwrote the pipelined SET.
   EXPECT_EQ(Client.recvStatus(), KvStatus::Ok);
   EXPECT_EQ(Client.recvValue(Out), KvStatus::Ok);
-  EXPECT_EQ(Out, "post-sg"); // The parked SET ran after the sg.
+  EXPECT_EQ(Out, "post-sg"); // The later SET ran after the MSET.
 
-  // Cross-shard MGET sees every piece of the cross-shard MSET, in
+  // Cross-shard MGET sees every key of the cross-shard MSET, in
   // request order, with misses interleaved.
   std::vector<uint64_t> Keys{KeyOnShard[3], 999983, KeyOnShard[1],
                              KeyOnShard[0], KeyOnShard[2]};
@@ -1081,6 +1159,13 @@ TEST(KvServerConcurrent, CrossShardScatterGatherPipelinedOrdering) {
   Client.quit();
   Server.stop();
   EXPECT_EQ(Store.checkerViolations(), 0u);
+}
+
+TEST(KvServerConcurrent, CrossShardPipelinedOrdering) {
+  for (unsigned Workers : {2u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(Workers));
+    crossShardPipelinedOrdering(Workers);
+  }
 }
 
 //===----------------------------------------------------------------------===//
