@@ -276,31 +276,6 @@ bool KvShard::prepareValue(unsigned Tid, std::string_view Val,
   return true;
 }
 
-KvStatus KvShard::get(unsigned Tid, uint64_t Key, std::string &Out) {
-  KvStatus St = KvStatus::NotFound;
-  Backend->run(Tid, [&](TxnContext &Tx) {
-    St = KvStatus::NotFound; // Bodies may re-execute; restart clean.
-    Out.clear();
-    if (std::optional<uint64_t> Cell = Map->getTx(Tx, Key))
-      St = readCellTx(Tx, *Cell, Out) ? KvStatus::Ok : KvStatus::Err;
-  });
-  ++Stats[Tid].Gets;
-  ++(St == KvStatus::Ok ? Stats[Tid].Hits : Stats[Tid].Misses);
-  return St;
-}
-
-KvStatus KvShard::set(unsigned Tid, uint64_t Key, std::string_view Val) {
-  heap::HeapStaged S;
-  KvStatus St = KvStatus::Err;
-  if (!prepareValue(Tid, Val, S, St))
-    return St;
-  Backend->run(Tid, [&](TxnContext &Tx) { St = setInTx(Tx, Key, Val, S); });
-  if (S && St != KvStatus::Ok)
-    Heap->abandon(*Backend, Tid, S);
-  ++Stats[Tid].Sets;
-  return St;
-}
-
 KvStatus KvShard::delInTx(TxnContext &Tx, uint64_t Key) {
   std::optional<uint64_t> Cell = Map->getTx(Tx, Key);
   if (!Cell)
@@ -332,86 +307,6 @@ KvStatus KvShard::casInTx(TxnContext &Tx, uint64_t Key,
   return KvStatus::Ok;
 }
 
-KvStatus KvShard::del(unsigned Tid, uint64_t Key) {
-  KvStatus St = KvStatus::NotFound;
-  Backend->run(Tid, [&](TxnContext &Tx) { St = delInTx(Tx, Key); });
-  ++Stats[Tid].Dels;
-  return St;
-}
-
-KvStatus KvShard::cas(unsigned Tid, uint64_t Key, std::string_view Expect,
-                      std::string_view Desired) {
-  heap::HeapStaged S;
-  KvStatus St = KvStatus::NotFound;
-  if (!prepareValue(Tid, Desired, S, St))
-    return St;
-  std::string Cur;
-  Backend->run(Tid, [&](TxnContext &Tx) {
-    St = casInTx(Tx, Key, Expect, Desired, Cur, S);
-  });
-  if (S && St != KvStatus::Ok)
-    Heap->abandon(*Backend, Tid, S);
-  ++Stats[Tid].Cas;
-  return St;
-}
-
-void KvShard::setBatch(unsigned Tid, KvBatchItem *Items, size_t N) {
-  size_t Limit = Cfg.BatchTxnLimit ? Cfg.BatchTxnLimit : 1;
-  std::vector<heap::HeapStaged> Staged(Limit);
-  std::vector<uint8_t> Skip(Limit);
-  for (size_t Begin = 0; Begin != N;) {
-    size_t End = std::min(N, Begin + Limit);
-    // Stage the chunk's heap-bound values before its transaction; items
-    // that fail routing get their terminal status here and are skipped.
-    // Limit <= HeapWalSlots keeps every chunk's staging within the WAL.
-    for (size_t I = Begin; I != End; ++I)
-      Skip[I - Begin] = !prepareValue(Tid, Items[I].Val, Staged[I - Begin],
-                                      Items[I].Status);
-    Backend->run(Tid, [&](TxnContext &Tx) {
-      for (size_t I = Begin; I != End; ++I) {
-        // End - Begin <= Limit: one transaction covers one batch chunk.
-        CRAFTY_TX_BOUND(Cfg.BatchTxnLimit);
-        KvBatchItem &Item = Items[I];
-        if (Skip[I - Begin])
-          continue; // Routing failed before the transaction.
-        Item.Status = setInTx(Tx, Item.Key, Item.Val, Staged[I - Begin]);
-      }
-    });
-    for (size_t I = Begin; I != End; ++I)
-      if (Staged[I - Begin] && Items[I].Status != KvStatus::Ok)
-        Heap->abandon(*Backend, Tid, Staged[I - Begin]);
-    Stats[Tid].Sets += End - Begin;
-    Stats[Tid].BatchedSets += End - Begin;
-    Begin = End;
-  }
-}
-
-void KvShard::getBatch(unsigned Tid, const uint64_t *Keys, size_t N,
-                       KvResult *Results) {
-  size_t Limit = Cfg.BatchTxnLimit ? Cfg.BatchTxnLimit : 1;
-  for (size_t Begin = 0; Begin != N;) {
-    size_t End = std::min(N, Begin + Limit);
-    Backend->run(Tid, [&](TxnContext &Tx) {
-      for (size_t I = Begin; I != End; ++I) {
-        // End - Begin <= Limit: one transaction covers one batch chunk
-        // (reads only; the bound keeps the HTM read set per chunk flat).
-        CRAFTY_TX_BOUND(Cfg.BatchTxnLimit);
-        KvResult &R = Results[I];
-        R.Status = KvStatus::NotFound; // Bodies may re-execute.
-        R.Value.clear();
-        if (std::optional<uint64_t> Cell = Map->getTx(Tx, Keys[I]))
-          R.Status = readCellTx(Tx, *Cell, R.Value) ? KvStatus::Ok
-                                                    : KvStatus::Err;
-      }
-    });
-    for (size_t I = Begin; I != End; ++I)
-      ++(Results[I].Status == KvStatus::Ok ? Stats[Tid].Hits
-                                           : Stats[Tid].Misses);
-    Stats[Tid].Gets += End - Begin;
-    Begin = End;
-  }
-}
-
 bool KvShard::runCycle(unsigned Tid, KvCycleOp *Ops, size_t N) {
   size_t Limit = Cfg.BatchTxnLimit ? Cfg.BatchTxnLimit : 1;
   bool Wrote = false;
@@ -422,7 +317,11 @@ bool KvShard::runCycle(unsigned Tid, KvCycleOp *Ops, size_t N) {
   std::vector<uint8_t> &Skip = CS.Skip;
   for (size_t Begin = 0; Begin != N;) {
     size_t End = std::min(N, Begin + Limit);
-    // Pre-stage the chunk's heap-bound SET/CAS values (see setBatch).
+    // Stage the chunk's heap-bound SET/CAS values before its
+    // transaction; ops that fail routing get their terminal status here
+    // and are skipped. Limit <= HeapWalSlots keeps every chunk's staging
+    // within the WAL.
+    size_t Live = 0;
     for (size_t I = Begin; I != End; ++I) {
       KvCycleOp &Op = Ops[I];
       Staged[I - Begin] = {};
@@ -430,37 +329,39 @@ bool KvShard::runCycle(unsigned Tid, KvCycleOp *Ops, size_t N) {
       if (Op.K == KvCycleOp::Set || Op.K == KvCycleOp::Cas)
         Skip[I - Begin] =
             !prepareValue(Tid, Op.Val, Staged[I - Begin], *Op.Status);
+      Live += !Skip[I - Begin];
     }
-    Backend->run(Tid, [&](TxnContext &Tx) {
-      for (size_t I = Begin; I != End; ++I) {
-        // End - Begin <= Limit: one transaction covers one cycle chunk.
-        CRAFTY_TX_BOUND(Cfg.BatchTxnLimit);
-        KvCycleOp &Op = Ops[I];
-        if (Skip[I - Begin])
-          continue; // Routing failed before the transaction.
-        switch (Op.K) {
-        case KvCycleOp::Get: {
-          KvResult &R = *Op.Result;
-          R.Status = KvStatus::NotFound; // Bodies may re-execute.
-          R.Value.clear();
-          if (std::optional<uint64_t> Cell = Map->getTx(Tx, Op.Key))
-            R.Status = readCellTx(Tx, *Cell, R.Value) ? KvStatus::Ok
-                                                      : KvStatus::Err;
-          break;
+    if (Live)
+      Backend->run(Tid, [&](TxnContext &Tx) {
+        for (size_t I = Begin; I != End; ++I) {
+          // End - Begin <= Limit: one transaction covers one cycle chunk.
+          CRAFTY_TX_BOUND(Cfg.BatchTxnLimit);
+          KvCycleOp &Op = Ops[I];
+          if (Skip[I - Begin])
+            continue; // Routing failed before the transaction.
+          switch (Op.K) {
+          case KvCycleOp::Get: {
+            KvResult &R = *Op.Result;
+            R.Status = KvStatus::NotFound; // Bodies may re-execute.
+            R.Value.clear();
+            if (std::optional<uint64_t> Cell = Map->getTx(Tx, Op.Key))
+              R.Status = readCellTx(Tx, *Cell, R.Value) ? KvStatus::Ok
+                                                        : KvStatus::Err;
+            break;
+          }
+          case KvCycleOp::Set:
+            *Op.Status = setInTx(Tx, Op.Key, Op.Val, Staged[I - Begin]);
+            break;
+          case KvCycleOp::Del:
+            *Op.Status = delInTx(Tx, Op.Key);
+            break;
+          case KvCycleOp::Cas:
+            *Op.Status = casInTx(Tx, Op.Key, Op.Expect, Op.Val, CS.Value,
+                                 Staged[I - Begin]);
+            break;
+          }
         }
-        case KvCycleOp::Set:
-          *Op.Status = setInTx(Tx, Op.Key, Op.Val, Staged[I - Begin]);
-          break;
-        case KvCycleOp::Del:
-          *Op.Status = delInTx(Tx, Op.Key);
-          break;
-        case KvCycleOp::Cas:
-          *Op.Status = casInTx(Tx, Op.Key, Op.Expect, Op.Val, CS.Value,
-                               Staged[I - Begin]);
-          break;
-        }
-      }
-    });
+      });
     for (size_t I = Begin; I != End; ++I)
       if (Staged[I - Begin] && *Ops[I].Status != KvStatus::Ok)
         Heap->abandon(*Backend, Tid, Staged[I - Begin]);
@@ -474,7 +375,6 @@ bool KvShard::runCycle(unsigned Tid, KvCycleOp *Ops, size_t N) {
         break;
       case KvCycleOp::Set:
         ++Stats[Tid].Sets;
-        ++Stats[Tid].BatchedSets;
         Wrote |= *Op.Status == KvStatus::Ok;
         break;
       case KvCycleOp::Del:

@@ -13,14 +13,16 @@
 /// value-cell indices, and a persistent value-cell arena with a
 /// transactional freelist.
 ///
-/// Every mutation is one persistent transaction: the map update, the cell
-/// bytes and the freelist manipulation commit or vanish together, so a
-/// crash never exposes a torn value or a leaked cell. Overwrites reuse the
-/// existing cell in place (transactional atomicity makes that safe);
-/// inserts pop a cell from the freelist and deletes push it back, all
-/// inside the same transaction as the map update -- which is what makes
-/// recovery free: rolling back the undo log restores map, cells and
-/// freelist to one consistent snapshot, with no allocator rebuild.
+/// Operations run through one engine, runCycle, and every chunk of up to
+/// KvConfig::BatchTxnLimit operations is one persistent transaction: the
+/// map updates, the cell bytes and the freelist manipulation commit or
+/// vanish together, so a crash never exposes a torn value or a leaked
+/// cell. Overwrites reuse the existing cell in place (transactional
+/// atomicity makes that safe); inserts pop a cell from the freelist and
+/// deletes push it back, all inside the same transaction as the map
+/// update -- which is what makes recovery free: rolling back the undo
+/// log restores map, cells and freelist to one consistent snapshot, with
+/// no allocator rebuild.
 ///
 /// With KvConfig::HeapPages set, values above KvConfig::MaxValueBytes
 /// route through the shard's heap::DurableHeap: the bytes are staged to
@@ -60,18 +62,19 @@ class HtmRuntime;
 
 namespace kv {
 
-/// One SET of a batched per-shard pipeline; Status is filled in by
-/// setBatch.
+/// One SET of a KvStore::msetBatch call; Status is filled in by the
+/// shard's runCycle.
 struct KvBatchItem {
   uint64_t Key = 0;
   std::string_view Val;
   KvStatus Status = KvStatus::Err;
 };
 
-/// One operation of a server event-loop cycle, batched per shard and
-/// executed in arrival order by KvShard::runCycle. The value views and
-/// the Result/Status destinations must stay valid until runCycle
-/// returns (the server parks them in the request's response slot).
+/// One operation of a batch executed in arrival order by
+/// KvShard::runCycle: a server event-loop cycle or a KvStore call. The
+/// value views and the Result/Status destinations must stay valid until
+/// runCycle returns (the server parks them in the request's response
+/// slot; KvStore points them into the caller's output).
 struct KvCycleOp {
   enum Kind : uint8_t { Get, Set, Del, Cas } K = Get;
   uint64_t Key = 0;
@@ -100,33 +103,16 @@ public:
   bool recoveredOnOpen() const { return RecoveredOnOpen; }
   const RecoveryReport &lastRecovery() const { return LastRecovery; }
 
-  // Engine operations. \p Tid selects a backend worker context
-  // (< KvConfig::ThreadsPerShard); use each Tid from one thread at a time.
-  CRAFTY_TX_BODY KvStatus get(unsigned Tid, uint64_t Key, std::string &Out);
-  CRAFTY_TX_BODY KvStatus set(unsigned Tid, uint64_t Key,
-                              std::string_view Val);
-  CRAFTY_TX_BODY KvStatus del(unsigned Tid, uint64_t Key);
-  CRAFTY_TX_BODY KvStatus cas(unsigned Tid, uint64_t Key,
-                              std::string_view Expect,
-                              std::string_view Desired);
-  /// Batched SET pipeline: runs \p Items in transactions of up to
-  /// KvConfig::BatchTxnLimit SETs each -- one undo-log sequence and one
-  /// flush per chunk instead of one per key -- filling in each item's
-  /// Status. Call persistAck afterwards before acknowledging.
-  CRAFTY_TX_BODY void setBatch(unsigned Tid, KvBatchItem *Items, size_t N);
-  /// Batched GET pipeline: looks \p Keys up in transactions of up to
-  /// KvConfig::BatchTxnLimit keys each (one HTM commit per chunk instead
-  /// of one per key), writing each key's outcome into \p Results.
-  CRAFTY_TX_BODY void getBatch(unsigned Tid, const uint64_t *Keys, size_t N,
-                               KvResult *Results);
-  /// Group-commit execution engine: runs one event-loop cycle's worth of
-  /// operations against this shard -- any mix of GET/SET/DEL/CAS, in
-  /// array order -- in transactions of up to KvConfig::BatchTxnLimit
-  /// operations each. Arrival order is preserved exactly (a pipelined
-  /// GET after a SET of the same key sees the SET), and the whole cycle
-  /// costs a handful of transactions instead of one per request. Returns
-  /// true if any operation mutated the shard (the caller then owes a
-  /// persistAck before acknowledging).
+  /// The shard's execution engine: runs \p Ops against this shard -- any
+  /// mix of GET/SET/DEL/CAS, in array order -- in transactions of up to
+  /// KvConfig::BatchTxnLimit operations each, one undo-log sequence and
+  /// one flush per chunk instead of one per operation. Arrival order is
+  /// preserved exactly (a pipelined GET after a SET of the same key sees
+  /// the SET). A chunk whose every op failed value routing (TooBig /
+  /// Full) starts no transaction. Returns true if any operation mutated
+  /// the shard (the caller then owes a persistAck before acknowledging).
+  /// \p Tid selects a backend worker context (< ThreadsPerShard); use
+  /// each Tid from one thread at a time.
   CRAFTY_TX_BODY bool runCycle(unsigned Tid, KvCycleOp *Ops, size_t N);
 
   /// Makes every transaction committed so far durable (Crafty: the
@@ -214,20 +200,20 @@ private:
   /// \p Tx -- see heap::DurableHeap::readExtent).
   CRAFTY_TX_BODY bool readCellTx(TxnContext &Tx, uint64_t CellIdx,
                                  std::string &Out);
-  /// The SET engine shared by set/setBatch; runs inside an open txn.
+  /// runCycle's SET arm; runs inside an open txn.
   /// writeCellTx's budget plus the map-slot words (key publish + chains)
   /// plus freeing a displaced heap extent.
   CRAFTY_TX_CAPACITY(53)
   CRAFTY_TX_BODY KvStatus setInTx(TxnContext &Tx, uint64_t Key,
                                   std::string_view Val,
                                   const heap::HeapStaged &S);
-  /// The DEL engine shared by del/runCycle: map tombstone + meta plus
-  /// the two freelist words plus freeing the cell's heap extent.
+  /// runCycle's DEL arm: map tombstone + meta plus the two freelist words
+  /// plus freeing the cell's heap extent.
   CRAFTY_TX_CAPACITY(10)
   CRAFTY_TX_BODY KvStatus delInTx(TxnContext &Tx, uint64_t Key);
-  /// The CAS engine shared by cas/runCycle; \p Scratch receives the
-  /// current value. writeCellTx's budget (the cell is reused) plus
-  /// freeing a displaced heap extent.
+  /// runCycle's CAS arm; \p Scratch receives the current value.
+  /// writeCellTx's budget (the cell is reused) plus freeing a displaced
+  /// heap extent.
   CRAFTY_TX_CAPACITY(35)
   CRAFTY_TX_BODY KvStatus casInTx(TxnContext &Tx, uint64_t Key,
                                   std::string_view Expect,

@@ -55,67 +55,78 @@ size_t KvStore::sequencesRolledBack() const {
 }
 
 KvStatus KvStore::get(unsigned Tid, uint64_t Key, std::string &Out) {
-  return Shards[shardOf(Key)]->get(Tid, Key, Out);
+  KvResult R;
+  KvCycleOp Op;
+  Op.K = KvCycleOp::Get;
+  Op.Key = Key;
+  Op.Result = &R;
+  Shards[shardOf(Key)]->runCycle(Tid, &Op, 1);
+  Out = std::move(R.Value);
+  return R.Status;
+}
+
+KvStatus KvStore::runOne(unsigned Tid, KvCycleOp &Op) {
+  KvStatus St = KvStatus::Err;
+  Op.Status = &St;
+  Shards[shardOf(Op.Key)]->runCycle(Tid, &Op, 1);
+  return St;
 }
 
 KvStatus KvStore::set(unsigned Tid, uint64_t Key, std::string_view Val) {
-  return Shards[shardOf(Key)]->set(Tid, Key, Val);
+  KvCycleOp Op;
+  Op.K = KvCycleOp::Set;
+  Op.Key = Key;
+  Op.Val = Val;
+  return runOne(Tid, Op);
 }
 
 KvStatus KvStore::del(unsigned Tid, uint64_t Key) {
-  return Shards[shardOf(Key)]->del(Tid, Key);
+  KvCycleOp Op;
+  Op.K = KvCycleOp::Del;
+  Op.Key = Key;
+  return runOne(Tid, Op);
 }
 
 KvStatus KvStore::cas(unsigned Tid, uint64_t Key, std::string_view Expect,
                       std::string_view Desired) {
-  return Shards[shardOf(Key)]->cas(Tid, Key, Expect, Desired);
+  KvCycleOp Op;
+  Op.K = KvCycleOp::Cas;
+  Op.Key = Key;
+  Op.Val = Desired;
+  Op.Expect = Expect;
+  return runOne(Tid, Op);
 }
 
 std::vector<KvResult> KvStore::mget(unsigned Tid,
                                     const std::vector<uint64_t> &Keys) {
-  // Group by shard and run each group through the batched GET pipeline
-  // (few transactions per shard instead of one per key), then scatter
-  // the results back to the caller's order.
   std::vector<KvResult> Out(Keys.size());
-  std::vector<std::vector<size_t>> ByShard(Shards.size());
-  for (size_t I = 0; I != Keys.size(); ++I)
-    ByShard[shardOf(Keys[I])].push_back(I);
-  std::vector<uint64_t> GroupKeys;
-  std::vector<KvResult> Group;
-  for (size_t S = 0; S != Shards.size(); ++S) {
-    if (ByShard[S].empty())
-      continue;
-    GroupKeys.clear();
-    for (size_t I : ByShard[S])
-      GroupKeys.push_back(Keys[I]);
-    Group.assign(GroupKeys.size(), KvResult());
-    Shards[S]->getBatch(Tid, GroupKeys.data(), GroupKeys.size(),
-                        Group.data());
-    for (size_t G = 0; G != Group.size(); ++G)
-      Out[ByShard[S][G]] = std::move(Group[G]);
+  std::vector<std::vector<KvCycleOp>> ByShard(Shards.size());
+  for (size_t I = 0; I != Keys.size(); ++I) {
+    KvCycleOp &Op = ByShard[shardOf(Keys[I])].emplace_back();
+    Op.K = KvCycleOp::Get;
+    Op.Key = Keys[I];
+    Op.Result = &Out[I];
   }
+  for (size_t S = 0; S != Shards.size(); ++S)
+    if (!ByShard[S].empty())
+      Shards[S]->runCycle(Tid, ByShard[S].data(), ByShard[S].size());
   return Out;
 }
 
-void KvStore::msetBatch(unsigned Tid, std::vector<KvBatchItem> &Items,
-                        bool Durable) {
-  // Group by shard, run each shard's group as one batched pipeline, then
-  // scatter the statuses back to the caller's order.
-  std::vector<std::vector<size_t>> ByShard(Shards.size());
-  for (size_t I = 0; I != Items.size(); ++I)
-    ByShard[shardOf(Items[I].Key)].push_back(I);
-  std::vector<KvBatchItem> Group;
+void KvStore::msetBatch(unsigned Tid, std::vector<KvBatchItem> &Items) {
+  std::vector<std::vector<KvCycleOp>> ByShard(Shards.size());
+  for (KvBatchItem &It : Items) {
+    KvCycleOp &Op = ByShard[shardOf(It.Key)].emplace_back();
+    Op.K = KvCycleOp::Set;
+    Op.Key = It.Key;
+    Op.Val = It.Val;
+    Op.Status = &It.Status;
+  }
   for (size_t S = 0; S != Shards.size(); ++S) {
     if (ByShard[S].empty())
       continue;
-    Group.clear();
-    for (size_t I : ByShard[S])
-      Group.push_back(Items[I]);
-    Shards[S]->setBatch(Tid, Group.data(), Group.size());
-    if (Durable)
-      Shards[S]->persistAck(Tid);
-    for (size_t G = 0; G != Group.size(); ++G)
-      Items[ByShard[S][G]].Status = Group[G].Status;
+    Shards[S]->runCycle(Tid, ByShard[S].data(), ByShard[S].size());
+    Shards[S]->persistAck(Tid);
   }
 }
 

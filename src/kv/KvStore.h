@@ -54,25 +54,28 @@ public:
   /// recoveries.
   size_t sequencesRolledBack() const;
 
-  // Single-key operations. \p Tid indexes every shard's worker contexts,
-  // so a caller owning Tid T may touch any shard with it.
+  // Single-key operations, each one KvShard::runCycle of one op on the
+  // key's shard. \p Tid indexes every shard's worker contexts, so a caller
+  // owning Tid T may touch any shard with it. Writes are not yet durable:
+  // call persistAck before relying on them surviving a crash.
   KvStatus get(unsigned Tid, uint64_t Key, std::string &Out);
   KvStatus set(unsigned Tid, uint64_t Key, std::string_view Val);
   KvStatus del(unsigned Tid, uint64_t Key);
   KvStatus cas(unsigned Tid, uint64_t Key, std::string_view Expect,
                std::string_view Desired);
 
-  /// MGET: groups \p Keys by shard and runs each group through
-  /// KvShard::getBatch (transactions of up to BatchTxnLimit keys).
+  /// MGET: groups \p Keys by shard and runs each group as one
+  /// KvShard::runCycle (transactions of up to BatchTxnLimit keys) that
+  /// writes each key's outcome straight into the returned vector, in
+  /// \p Keys order.
   std::vector<KvResult> mget(unsigned Tid,
                              const std::vector<uint64_t> &Keys);
 
-  /// Batched multi-SET: groups \p Items by shard and runs each group
-  /// through KvShard::setBatch (few transactions, one ack drain per shard
-  /// via persistAck when \p Durable). Statuses are written back into
-  /// \p Items in their original order.
-  void msetBatch(unsigned Tid, std::vector<KvBatchItem> &Items,
-                 bool Durable = true);
+  /// Batched multi-SET: groups \p Items by shard and runs each group as
+  /// one KvShard::runCycle (transactions of up to BatchTxnLimit SETs)
+  /// followed by one persistAck, so every item is durable on return. Each
+  /// runCycle writes its statuses straight into \p Items.
+  void msetBatch(unsigned Tid, std::vector<KvBatchItem> &Items);
 
   /// Persist barrier on every shard, issued as worker \p Tid. Each
   /// shard's barrier covers every transaction committed on it so far,
@@ -97,6 +100,10 @@ public:
   KvOpStats opStats() const;
 
 private:
+  /// Runs \p Op alone as one runCycle on its key's shard; returns the
+  /// status it wrote.
+  KvStatus runOne(unsigned Tid, KvCycleOp &Op);
+
   KvConfig Cfg;
   std::vector<std::unique_ptr<KvShard>> Shards;
 };

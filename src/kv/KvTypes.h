@@ -158,7 +158,6 @@ struct KvOpStats {
   uint64_t Sets = 0;
   uint64_t Dels = 0;
   uint64_t Cas = 0;
-  uint64_t BatchedSets = 0;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
 
@@ -167,7 +166,6 @@ struct KvOpStats {
     Sets += O.Sets;
     Dels += O.Dels;
     Cas += O.Cas;
-    BatchedSets += O.BatchedSets;
     Hits += O.Hits;
     Misses += O.Misses;
     return *this;

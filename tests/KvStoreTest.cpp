@@ -151,7 +151,7 @@ TEST(KvStore, MgetAndBatchedMset) {
     EXPECT_EQ(Results[K].Status, KvStatus::NotFound);
 
   KvOpStats Stats = Store.opStats();
-  EXPECT_EQ(Stats.BatchedSets, 100u);
+  EXPECT_EQ(Stats.Sets, 100u);
 }
 
 TEST(KvStore, FullShardIsRecoverable) {
@@ -843,13 +843,13 @@ TEST(KvStore, TxCapacityStaticBoundCoversDynamicWrites) {
   KC.ThreadsPerShard = 1;
   KC.Backend = SystemKind::NonDurable;
   KC.DrainLatencyNs = 0;
-  KvShard Shard(KC, 0);
+  KvStore Store(KC);
 
   const std::string Full(KC.MaxValueBytes, 'x');
   for (uint64_t Key = 1; Key <= 64; ++Key)
-    ASSERT_EQ(Shard.set(0, Key, Full), KvStatus::Ok);
+    ASSERT_EQ(Store.set(0, Key, Full), KvStatus::Ok);
 
-  HtmStats Hw = Shard.backend().htmStats();
+  HtmStats Hw = Store.shard(0).backend().htmStats();
   ASSERT_GT(Hw.Commits, 0u);
   EXPECT_GE(Hw.MaxWriteWordsPerTxn, MinFullValueWords)
       << "a full-size SET must write at least the value cell";
@@ -896,8 +896,21 @@ TEST(KvServerSmoke, OversizeValueAnswersToobigAndKeepsConnection) {
   ASSERT_EQ(Client.get(7, Out), KvStatus::Ok);
   EXPECT_EQ(Out, Big);
 
-  // Above the active limit, below the wire cap: shard-level rejection.
+  // Above the active limit, below the wire cap: shard-level rejection,
+  // decided before any transaction starts, so it costs no HTM attempt.
+  auto HtmAttempts = [&Client] {
+    std::string J;
+    EXPECT_TRUE(Client.stats(J));
+    uint64_t N = 0;
+    for (const char *Key : {"htm_commits", "htm_aborts"})
+      for (uint64_t V : intFields(J, 0, J.size(), Key))
+        N += V;
+    return N;
+  };
+  uint64_t AttemptsBefore = HtmAttempts();
   EXPECT_EQ(Client.set(8, std::string(100000, 'x')), KvStatus::TooBig);
+  EXPECT_EQ(HtmAttempts(), AttemptsBefore)
+      << "a SET rejected before its transaction must not start one";
 
   // Above the 1 MiB wire cap, below the 2 MiB skim cap: the parser skims
   // the payload, the server answers toobig, and the connection lives.

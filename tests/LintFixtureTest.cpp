@@ -178,11 +178,39 @@ TEST(LintBaseline, StaleEntryFailsAndPruneRemovesIt) {
       << "pruned baseline still holds the stale entry: " << SS.str();
 }
 
+/// Reads a `--capacity-report` file into function -> bound.
+std::map<std::string, std::string>
+readCapacityReport(const std::string &Path) {
+  std::ifstream In(Path);
+  EXPECT_TRUE(In.good()) << "no capacity report at " << Path;
+  std::map<std::string, std::string> Bounds;
+  std::string Bound, Name;
+  while (In >> Bound >> Name)
+    Bounds[Name] = Bound;
+  return Bounds;
+}
+
+/// A switch costs its most expensive arm, not the sum of its arms; an arm
+/// without a break adds to the arm it falls into.
+TEST(LintCapacity, SwitchCostsItsWorstArm) {
+  std::string Path = ::testing::TempDir() + "/crafty_lint_switch.txt";
+  std::remove(Path.c_str());
+  LintRun R = runLint(std::string(CRAFTY_LINT_FIXTURE_DIR) +
+                      "/tx_capacity_switch.cpp --root " CRAFTY_LINT_FIXTURE_DIR
+                      " --include-dir " CRAFTY_LINT_SRC_DIR
+                      " --capacity-report " +
+                      Path);
+  EXPECT_EQ(R.ExitCode, 0) << R.Output;
+  std::map<std::string, std::string> Bounds = readCapacityReport(Path);
+  EXPECT_EQ(Bounds["txTwoArms"], "3");
+  EXPECT_EQ(Bounds["txFallThrough"], "4");
+}
+
 /// The static side of the capacity contract that
 /// KvStore.TxCapacityStaticBoundCoversDynamicWrites pins dynamically:
 /// the analyzer's interprocedural bounds for the shard's annotated
 /// transaction bodies equal the CRAFTY_TX_CAPACITY declarations in
-/// KvShard.h (33 / 51 words).
+/// KvShard.h (33 / 53 words).
 TEST(LintTree, CapacityReportMatchesDeclaredShardBudgets) {
   std::string Path = ::testing::TempDir() + "/crafty_lint_capacity.txt";
   std::remove(Path.c_str());
@@ -191,18 +219,15 @@ TEST(LintTree, CapacityReportMatchesDeclaredShardBudgets) {
                       " --baseline " CRAFTY_LINT_REPO_ROOT
                       "/tools/crafty-lint/baseline.json --capacity-report " +
                       Path);
-  std::ifstream In(Path);
-  ASSERT_TRUE(In.good()) << R.Output;
-  std::map<std::string, std::string> Bounds;
-  std::string Bound, Name;
-  while (In >> Bound >> Name)
-    Bounds[Name] = Bound;
+  std::map<std::string, std::string> Bounds = readCapacityReport(Path);
+  ASSERT_FALSE(Bounds.empty()) << R.Output;
   EXPECT_EQ(Bounds["KvShard::writeCellTx"], "33");
   // 33 + map-slot words + displaced-heap-extent free (freeCellExtentTx).
   EXPECT_EQ(Bounds["KvShard::setInTx"], "53");
-  // The batched pipeline stays finite only through its CRAFTY_TX_BOUND
-  // chunk annotation; a regression there shows up as "unbounded" here.
-  EXPECT_EQ(Bounds["KvShard::setBatch"], "1696");
+  // The execution engine stays finite only through its CRAFTY_TX_BOUND
+  // chunk annotation (a regression there shows up as "unbounded" here),
+  // and its op switch costs its worst arm: BatchTxnLimit x setInTx.
+  EXPECT_EQ(Bounds["KvShard::runCycle"], "1696");
   // The heap's metadata transactions must stay tiny regardless of object
   // size -- that is the whole point of stage-then-publish: 2 bitmap
   // words + epoch counter + 16 page epochs + 3 WAL words.

@@ -501,7 +501,7 @@ private:
   /// Does this subtree issue CRAFTY_TX_STORE_API calls, directly or
   /// through a resolvable callee whose summary says it does? Lambda bodies
   /// are excluded: a lambda is a transaction-body boundary (the enclosing
-  /// loop typically spans *multiple* transactions, as in KvShard::setBatch),
+  /// loop typically spans *multiple* transactions, as in KvShard::runCycle),
   /// and its own loops are visited separately.
   bool subtreeHasTxStore(const Stmt &S) const {
     if (S.Kind == Stmt::Lambda)

@@ -278,10 +278,28 @@ TxBound Summaries::costStmt(const FunctionInfo &F, const Stmt &S) {
     return H + TxBound::max(A, B);
   }
   case Stmt::Switch: {
-    TxBound C = costRange(F, S.HdrB, S.HdrE, nullptr);
-    for (const Stmt &K : S.Kids)
-      C = C + costStmt(F, K);
-    return C;
+    // One invocation runs one arm: from its case label to a break that is
+    // a statement of the switch body or ends a braced block at that level
+    // (`case X: { ...; break; }`). An arm without such a break falls
+    // through, so its cost adds to the next arm's.
+    TxBound H = costRange(F, S.HdrB, S.HdrE, nullptr);
+    if (S.Kids.empty())
+      return H;
+    const Stmt &Body = S.Kids[0];
+    if (Body.Kind != Stmt::Seq)
+      return H + costStmt(F, Body);
+    TxBound Worst = TxBound::finite(0), Arm = TxBound::finite(0);
+    for (const Stmt &K : Body.Kids) {
+      Arm = Arm + costStmt(F, K);
+      bool Ends = K.Kind == Stmt::Break ||
+                  (K.Kind == Stmt::Seq && !K.Kids.empty() &&
+                   K.Kids.back().Kind == Stmt::Break);
+      if (Ends) {
+        Worst = TxBound::max(Worst, Arm);
+        Arm = TxBound::finite(0);
+      }
+    }
+    return H + TxBound::max(Worst, Arm);
   }
   case Stmt::Loop: {
     TxBound Per = costRange(F, S.HdrB, S.HdrE, nullptr);
